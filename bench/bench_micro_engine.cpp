@@ -1,5 +1,5 @@
 // Micro-benchmarks of the substrate hot paths: event scheduling (bare,
-// labeled, telemetered), the periodic timer, density-matrix operations,
+// labeled, telemetered, scheduled-then-cancelled), the periodic timer, density-matrix operations,
 // the herald model, and a full protocol cycle. These bound the
 // simulation throughput reported in EXPERIMENTS.md.
 //
@@ -81,6 +81,23 @@ Row bench_schedule_and_run(const Options& opt, const char* scenario,
       s.step();
     }
   });
+}
+
+Row bench_schedule_cancel(const Options& opt) {
+  // The mhp.timeout pattern: a timeout armed and cancelled before it
+  // fires. Each op is one schedule + cancel pair; the clock then moves
+  // past the timeout so its stale heap key surfaces and is skipped, as
+  // it would in a run.
+  sim::Simulator s;
+  return time_case("event_schedule_cancel", opt.min_seconds, 100000,
+                   [&](std::uint64_t n) {
+                     for (std::uint64_t i = 0; i < n; ++i) {
+                       const sim::EventId id =
+                           s.schedule_in(10, [] {}, "bench.timeout");
+                       s.cancel(id);
+                       s.run_until(s.now() + 1);
+                     }
+                   });
 }
 
 Row bench_periodic_timer(const Options& opt) {
@@ -244,6 +261,8 @@ int main(int argc, char** argv) {
   print_row(rows.back());
   rows.push_back(bench_schedule_and_run(opt, "event_schedule_telemetry",
                                         true, true));
+  print_row(rows.back());
+  rows.push_back(bench_schedule_cancel(opt));
   print_row(rows.back());
   rows.push_back(bench_periodic_timer(opt));
   print_row(rows.back());

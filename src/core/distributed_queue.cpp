@@ -9,7 +9,6 @@ using net::AbsoluteQueueId;
 using net::DqpFrameType;
 using net::DqpPacket;
 using net::DqpRejectReason;
-using net::PacketType;
 
 DistributedQueue::DistributedQueue(sim::Simulator& simulator, std::string name,
                                    const Config& config,
@@ -41,8 +40,7 @@ bool DistributedQueue::queue_full(int j) const {
 }
 
 void DistributedQueue::send(const DqpPacket& packet) {
-  link_.send_from(endpoint_,
-                  net::seal(PacketType::kDqpFrame, packet.encode()));
+  link_.send_from(endpoint_, net::seal(packet));
 }
 
 void DistributedQueue::submit(DqpPacket request) {

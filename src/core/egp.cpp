@@ -584,8 +584,7 @@ void Egp::expire_request(const AbsoluteQueueId& aid, bool notify_peer,
 void Egp::send_expire(ExpirePacket pkt) {
   ++stats_.expires_sent;
   const std::uint64_t key = next_expire_key_++;
-  peer_link_.send_from(peer_endpoint_,
-                       net::seal(PacketType::kExpire, pkt.encode()));
+  peer_link_.send_from(peer_endpoint_, net::seal(pkt));
   PendingExpire pending{pkt, 0, 0};
   pending.timer = schedule_in(config_.expire_retransmit,
                               [this, key] { retransmit_expire(key); },
@@ -602,8 +601,7 @@ void Egp::retransmit_expire(std::uint64_t key) {
     return;
   }
   ++p.retries;
-  peer_link_.send_from(peer_endpoint_,
-                       net::seal(PacketType::kExpire, p.pkt.encode()));
+  peer_link_.send_from(peer_endpoint_, net::seal(p.pkt));
   p.timer = schedule_in(config_.expire_retransmit,
                         [this, key] { retransmit_expire(key); },
                         "egp.expire_retransmit");
@@ -652,8 +650,7 @@ void Egp::handle_expire(const ExpirePacket& pkt) {
   ExpireAckPacket ack;
   ack.aid = pkt.aid;
   ack.expected_seq = expected_seq_;
-  peer_link_.send_from(peer_endpoint_,
-                       net::seal(PacketType::kExpireAck, ack.encode()));
+  peer_link_.send_from(peer_endpoint_, net::seal(ack));
 }
 
 void Egp::handle_expire_ack(const ExpireAckPacket& pkt) {
@@ -678,8 +675,7 @@ void Egp::send_mem_advert(bool is_ack) {
   pkt.is_ack = is_ack;
   pkt.comm_free = qmm_.comm_free() ? 1 : 0;
   pkt.storage_free = static_cast<std::uint16_t>(qmm_.free_memory_slots());
-  peer_link_.send_from(peer_endpoint_,
-                       net::seal(PacketType::kMemAdvert, pkt.encode()));
+  peer_link_.send_from(peer_endpoint_, net::seal(pkt));
 }
 
 void Egp::handle_mem_advert(const MemAdvertPacket& pkt) {

@@ -3,6 +3,7 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <vector>
 
@@ -22,6 +23,15 @@
 /// (the propagation delay doubles as the conservative lookahead, and the
 /// constructor registers the coupling), while same-shard sends schedule
 /// directly, exactly as the single-simulator constructor always has.
+///
+/// Same-shard frames wait in a per-direction in-flight FIFO rather than
+/// inside the delivery closure: the delay is fixed per channel and the
+/// engine is FIFO within a timestamp, so the deliveries towards one
+/// endpoint fire in send order, and each one takes the frame at the
+/// head of its queue. The closure is then just [this, dest], small
+/// enough for std::function's inline buffer, so a send allocates
+/// nothing beyond the frame itself. Cross-shard frames still travel
+/// inside the posted closure.
 
 namespace qlink::net {
 
@@ -72,6 +82,7 @@ class ClassicalChannel : public sim::Entity {
   /// Transmit a frame from endpoint `end` to the opposite endpoint.
   void send_from(int end, std::vector<std::uint8_t> frame);
 
+  /// Fixed for the channel's lifetime: the in-flight FIFO relies on it.
   sim::SimTime delay() const noexcept { return delay_; }
   double loss_probability() const noexcept { return loss_probability_; }
   void set_loss_probability(double p) noexcept { loss_probability_ = p; }
@@ -92,6 +103,9 @@ class ClassicalChannel : public sim::Entity {
   }
 
  private:
+  /// Hand a frame to the receiver at `dest`, if one is registered.
+  void deliver(std::size_t dest, std::vector<std::uint8_t> frame);
+
   sim::SimTime delay_;
   sim::ShardedEngine* engine_ = nullptr;
   std::array<std::size_t, 2> shards_{0, 0};
@@ -99,6 +113,8 @@ class ClassicalChannel : public sim::Entity {
   std::array<sim::Random*, 2> randoms_;
   double loss_probability_;
   std::array<Handler, 2> receivers_{};
+  /// Same-shard frames in flight towards each endpoint, in send order.
+  std::array<std::deque<std::vector<std::uint8_t>>, 2> in_flight_{};
   // Both endpoints may send concurrently from their shard threads, so
   // the counters are relaxed atomics.
   std::atomic<std::uint64_t> sent_{0};

@@ -18,10 +18,20 @@ AbsoluteQueueId get_aid(ByteReader& r) {
   return aid;
 }
 
+template <typename Packet>
+std::vector<std::uint8_t> encode_payload(const Packet& packet) {
+  ByteWriter w;
+  packet.write(w);
+  return w.take();
+}
+
 }  // namespace
 
 std::vector<std::uint8_t> GenPacket::encode() const {
-  ByteWriter w;
+  return encode_payload(*this);
+}
+
+void GenPacket::write(ByteWriter& w) const {
   w.u32(node_id);
   w.u64(cycle);
   put_aid(w, aid);
@@ -29,7 +39,6 @@ std::vector<std::uint8_t> GenPacket::encode() const {
   w.u8(request_type);
   w.u8(m_basis);
   w.f64(alpha);
-  return w.take();
 }
 
 GenPacket GenPacket::decode(std::span<const std::uint8_t> payload) {
@@ -47,7 +56,10 @@ GenPacket GenPacket::decode(std::span<const std::uint8_t> payload) {
 }
 
 std::vector<std::uint8_t> ReplyPacket::encode() const {
-  ByteWriter w;
+  return encode_payload(*this);
+}
+
+void ReplyPacket::write(ByteWriter& w) const {
   w.u8(outcome);
   w.u8(static_cast<std::uint8_t>(error));
   w.u32(seq_mhp);
@@ -59,7 +71,6 @@ std::vector<std::uint8_t> ReplyPacket::encode() const {
   w.u8(m_basis);
   w.u8(m_outcome);
   w.u8(m_outcome_peer);
-  return w.take();
 }
 
 ReplyPacket ReplyPacket::decode(std::span<const std::uint8_t> payload) {
@@ -81,7 +92,10 @@ ReplyPacket ReplyPacket::decode(std::span<const std::uint8_t> payload) {
 }
 
 std::vector<std::uint8_t> DqpPacket::encode() const {
-  ByteWriter w;
+  return encode_payload(*this);
+}
+
+void DqpPacket::write(ByteWriter& w) const {
   w.u8(static_cast<std::uint8_t>(frame_type));
   w.u32(comm_seq);
   put_aid(w, aid);
@@ -105,7 +119,6 @@ std::vector<std::uint8_t> DqpPacket::encode() const {
   w.i64(create_time_ns);
   w.i64(max_time_ns);
   w.u8(static_cast<std::uint8_t>(reject_reason));
-  return w.take();
 }
 
 DqpPacket DqpPacket::decode(std::span<const std::uint8_t> payload) {
@@ -138,14 +151,16 @@ DqpPacket DqpPacket::decode(std::span<const std::uint8_t> payload) {
 }
 
 std::vector<std::uint8_t> ExpirePacket::encode() const {
-  ByteWriter w;
+  return encode_payload(*this);
+}
+
+void ExpirePacket::write(ByteWriter& w) const {
   put_aid(w, aid);
   w.u32(origin_id);
   w.u32(create_id);
   w.u32(seq_low);
   w.u32(seq_high);
   w.u32(new_expected_seq);
-  return w.take();
 }
 
 ExpirePacket ExpirePacket::decode(std::span<const std::uint8_t> payload) {
@@ -162,10 +177,12 @@ ExpirePacket ExpirePacket::decode(std::span<const std::uint8_t> payload) {
 }
 
 std::vector<std::uint8_t> ExpireAckPacket::encode() const {
-  ByteWriter w;
+  return encode_payload(*this);
+}
+
+void ExpireAckPacket::write(ByteWriter& w) const {
   put_aid(w, aid);
   w.u32(expected_seq);
-  return w.take();
 }
 
 ExpireAckPacket ExpireAckPacket::decode(
@@ -179,11 +196,13 @@ ExpireAckPacket ExpireAckPacket::decode(
 }
 
 std::vector<std::uint8_t> MemAdvertPacket::encode() const {
-  ByteWriter w;
+  return encode_payload(*this);
+}
+
+void MemAdvertPacket::write(ByteWriter& w) const {
   w.boolean(is_ack);
   w.u16(comm_free);
   w.u16(storage_free);
-  return w.take();
 }
 
 MemAdvertPacket MemAdvertPacket::decode(
@@ -199,16 +218,10 @@ MemAdvertPacket MemAdvertPacket::decode(
 
 std::vector<std::uint8_t> seal(PacketType type,
                                std::span<const std::uint8_t> payload) {
-  std::vector<std::uint8_t> out;
-  out.reserve(payload.size() + 5);
-  out.push_back(static_cast<std::uint8_t>(type));
-  out.insert(out.end(), payload.begin(), payload.end());
-  const std::uint32_t crc = crc32(out);
-  out.push_back(static_cast<std::uint8_t>(crc));
-  out.push_back(static_cast<std::uint8_t>(crc >> 8));
-  out.push_back(static_cast<std::uint8_t>(crc >> 16));
-  out.push_back(static_cast<std::uint8_t>(crc >> 24));
-  return out;
+  ByteWriter w(payload.size() + 5);
+  w.u8(static_cast<std::uint8_t>(type));
+  w.bytes(payload);
+  return w.take_sealed();
 }
 
 std::optional<Frame> unseal(std::span<const std::uint8_t> bytes) {
@@ -218,11 +231,8 @@ std::optional<Frame> unseal(std::span<const std::uint8_t> bytes) {
   for (int i = 0; i < 4; ++i) {
     crc |= static_cast<std::uint32_t>(bytes[body + i]) << (8 * i);
   }
-  if (crc32(bytes.subspan(0, body)) != crc) return std::nullopt;
-  Frame f{static_cast<PacketType>(bytes[0]),
-          std::vector<std::uint8_t>(bytes.begin() + 1,
-                                    bytes.begin() + static_cast<long>(body))};
-  return f;
+  if (crc32(bytes.first(body)) != crc) return std::nullopt;
+  return Frame{static_cast<PacketType>(bytes[0]), bytes.subspan(1, body - 1)};
 }
 
 }  // namespace qlink::net

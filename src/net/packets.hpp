@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "net/wire.hpp"
@@ -12,6 +13,11 @@
 /// fields. Every frame is sealed as [type][payload][CRC32]; a frame whose
 /// CRC fails to verify is treated as lost, matching the Ethernet model of
 /// Appendix D.6.
+///
+/// Each packet type knows its PacketType (kType) and writes its fields
+/// into a ByteWriter; seal(packet) builds the whole frame in one buffer.
+/// unseal() verifies the CRC and returns a view of the payload inside
+/// the received frame, so decoding copies nothing.
 
 namespace qlink::net {
 
@@ -56,6 +62,9 @@ struct GenPacket {
   std::uint8_t m_basis = 0;       // measurement basis for M attempts
   double alpha = 0.0;
 
+  static constexpr PacketType kType = PacketType::kMhpGen;
+  /// Append the payload fields (no type byte, no CRC).
+  void write(ByteWriter& w) const;
   std::vector<std::uint8_t> encode() const;
   static GenPacket decode(std::span<const std::uint8_t> payload);
 };
@@ -80,6 +89,9 @@ struct ReplyPacket {
   std::uint8_t m_outcome = 0xFF;     // this node's outcome; 0xFF = none
   std::uint8_t m_outcome_peer = 0xFF;
 
+  static constexpr PacketType kType = PacketType::kMhpReply;
+  /// Append the payload fields (no type byte, no CRC).
+  void write(ByteWriter& w) const;
   std::vector<std::uint8_t> encode() const;
   static ReplyPacket decode(std::span<const std::uint8_t> payload);
 };
@@ -119,6 +131,9 @@ struct DqpPacket {
   std::int64_t max_time_ns = 0;  // tmax; 0 = unbounded
   DqpRejectReason reject_reason = DqpRejectReason::kNone;
 
+  static constexpr PacketType kType = PacketType::kDqpFrame;
+  /// Append the payload fields (no type byte, no CRC).
+  void write(ByteWriter& w) const;
   std::vector<std::uint8_t> encode() const;
   static DqpPacket decode(std::span<const std::uint8_t> payload);
 };
@@ -132,6 +147,9 @@ struct ExpirePacket {
   std::uint32_t seq_high = 0;  // one-past-last
   std::uint32_t new_expected_seq = 0;
 
+  static constexpr PacketType kType = PacketType::kExpire;
+  /// Append the payload fields (no type byte, no CRC).
+  void write(ByteWriter& w) const;
   std::vector<std::uint8_t> encode() const;
   static ExpirePacket decode(std::span<const std::uint8_t> payload);
 };
@@ -141,6 +159,9 @@ struct ExpireAckPacket {
   AbsoluteQueueId aid;
   std::uint32_t expected_seq = 0;
 
+  static constexpr PacketType kType = PacketType::kExpireAck;
+  /// Append the payload fields (no type byte, no CRC).
+  void write(ByteWriter& w) const;
   std::vector<std::uint8_t> encode() const;
   static ExpireAckPacket decode(std::span<const std::uint8_t> payload);
 };
@@ -151,6 +172,9 @@ struct MemAdvertPacket {
   std::uint16_t comm_free = 0;
   std::uint16_t storage_free = 0;
 
+  static constexpr PacketType kType = PacketType::kMemAdvert;
+  /// Append the payload fields (no type byte, no CRC).
+  void write(ByteWriter& w) const;
   std::vector<std::uint8_t> encode() const;
   static MemAdvertPacket decode(std::span<const std::uint8_t> payload);
 };
@@ -159,10 +183,21 @@ struct MemAdvertPacket {
 std::vector<std::uint8_t> seal(PacketType type,
                                std::span<const std::uint8_t> payload);
 
+/// Seal a packet into a frame, encoding it straight into the frame
+/// buffer.
+template <typename Packet>
+std::vector<std::uint8_t> seal(const Packet& packet) {
+  ByteWriter w;
+  w.u8(static_cast<std::uint8_t>(Packet::kType));
+  packet.write(w);
+  return w.take_sealed();
+}
+
 /// Parsed frame view.
 struct Frame {
   PacketType type;
-  std::vector<std::uint8_t> payload;
+  /// Points into the bytes given to unseal(); valid while they are.
+  std::span<const std::uint8_t> payload;
 };
 
 /// Verify CRC and split; nullopt if the frame is corrupt/truncated.

@@ -7,6 +7,8 @@
 #include <string>
 #include <vector>
 
+#include "net/crc.hpp"
+
 /// \file wire.hpp
 /// Little-endian byte serialisation for the classical control packets of
 /// Appendix E. A codec error throws WireError; protocol code treats a
@@ -21,6 +23,14 @@ class WireError : public std::runtime_error {
 
 class ByteWriter {
  public:
+  /// Room for the largest Appendix E frame (the 77-byte DQP payload
+  /// plus type byte and CRC), so encoding a packet allocates once.
+  static constexpr std::size_t kReserve = 96;
+
+  explicit ByteWriter(std::size_t reserve = kReserve) {
+    buf_.reserve(reserve);
+  }
+
   void u8(std::uint8_t v) { buf_.push_back(v); }
   void u16(std::uint16_t v) {
     buf_.push_back(static_cast<std::uint8_t>(v));
@@ -41,8 +51,17 @@ class ByteWriter {
     u64(bits);
   }
   void boolean(bool v) { u8(v ? 1 : 0); }
+  void bytes(std::span<const std::uint8_t> v) {
+    buf_.insert(buf_.end(), v.begin(), v.end());
+  }
 
   std::vector<std::uint8_t> take() { return std::move(buf_); }
+  /// Append the CRC-32 of everything written so far and take the
+  /// buffer: seals a frame in place.
+  std::vector<std::uint8_t> take_sealed() {
+    u32(crc32(buf_));
+    return take();
+  }
   std::span<const std::uint8_t> view() const { return buf_; }
 
  private:

@@ -61,7 +61,7 @@ void NodeMhp::on_cycle() {
   gen.request_type = response.measure_directly ? 1 : 0;
   gen.m_basis = static_cast<std::uint8_t>(response.basis);
   gen.alpha = response.alpha;
-  link_.send_from(endpoint_, net::seal(PacketType::kMhpGen, gen.encode()));
+  link_.send_from(endpoint_, net::seal(gen));
 }
 
 void NodeMhp::on_frame(std::vector<std::uint8_t> bytes) {
@@ -111,7 +111,7 @@ double MidpointStation::mean_heralded_fidelity() const {
 void MidpointStation::send_reply(bool to_a, const ReplyPacket& reply) {
   auto& link = to_a ? link_a_ : link_b_;
   const int ep = to_a ? endpoint_a_ : endpoint_b_;
-  link.send_from(ep, net::seal(PacketType::kMhpReply, reply.encode()));
+  link.send_from(ep, net::seal(reply));
 }
 
 void MidpointStation::reply_error(const PendingGen& pending, MhpError err,

@@ -7,63 +7,116 @@
 
 namespace qlink::sim {
 
+namespace {
+
+/// Below this many stale keys the heap is never compacted: lazy
+/// removal is cheaper than a rebuild.
+constexpr std::size_t kCompactMinStale = 4096;
+
+}  // namespace
+
 EventId Simulator::schedule_at(SimTime at, std::function<void()> fn,
                                const char* label) {
   if (at < now_) throw std::invalid_argument("schedule_at: time in the past");
   if (!fn) throw std::invalid_argument("schedule_at: empty function");
-  EventId id = next_id_++;
-  queue_.push(Scheduled{at, next_seq_++, id, label, std::move(fn)});
-  live_.insert(id);
-  if (queue_.size() > heap_high_water_) heap_high_water_ = queue_.size();
-  return id;
+  std::uint32_t slot;
+  if (free_slots_.empty()) {
+    slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  Slot& s = slots_[slot];
+  s.fn = std::move(fn);
+  s.label = label;
+  heap_.push_back(Key{at, next_seq_++, slot, s.gen});
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
+  ++live_;
+  if (heap_.size() > heap_high_water_) heap_high_water_ = heap_.size();
+  return (static_cast<EventId>(s.gen) << 32) | slot;
+}
+
+void Simulator::retire(std::uint32_t slot) {
+  Slot& s = slots_[slot];
+  if (++s.gen == 0) s.gen = 1;  // keep ids nonzero across wrap-around
+  free_slots_.push_back(slot);
+  --live_;
 }
 
 bool Simulator::cancel(EventId id) {
-  if (live_.erase(id) == 0) return false;  // already fired or cancelled
-  cancelled_.insert(id);
+  const auto slot = static_cast<std::uint32_t>(id);
+  if (slot >= slots_.size()) return false;
+  Slot& s = slots_[slot];
+  // An empty fn means the slot is free, or its event is running.
+  if (s.gen != static_cast<std::uint32_t>(id >> 32) || !s.fn) return false;
+  // Destroyed on return, once the engine is consistent again: a
+  // captured object's destructor may itself schedule or cancel.
+  const std::function<void()> doomed = std::move(s.fn);
+  s.fn = nullptr;
+  retire(slot);
+  if (++stale_ >= kCompactMinStale && stale_ > heap_.size() / 2) {
+    drop_stale_keys();
+  }
   return true;
 }
 
-void Simulator::prune_cancelled_top() {
-  while (!queue_.empty() && cancelled_.erase(queue_.top().id) > 0) {
-    queue_.pop();
+void Simulator::prune_stale_top() {
+  while (!heap_.empty() && stale(heap_.front())) {
+    std::pop_heap(heap_.begin(), heap_.end(), Later{});
+    heap_.pop_back();
+    --stale_;
   }
 }
 
+void Simulator::drop_stale_keys() {
+  std::erase_if(heap_, [this](const Key& key) { return stale(key); });
+  std::make_heap(heap_.begin(), heap_.end(), Later{});
+  stale_ = 0;
+}
+
 SimTime Simulator::next_event_time() {
-  prune_cancelled_top();
-  return queue_.empty() ? kNoEventTime : queue_.top().time;
+  prune_stale_top();
+  return heap_.empty() ? kNoEventTime : heap_.front().time;
 }
 
 bool Simulator::step() {
-  prune_cancelled_top();
-  if (queue_.empty()) return false;
-  Scheduled ev = queue_.top();
-  queue_.pop();
-  live_.erase(ev.id);
-  now_ = ev.time;
+  prune_stale_top();
+  if (heap_.empty()) return false;
+  std::pop_heap(heap_.begin(), heap_.end(), Later{});
+  const Key key = heap_.back();
+  heap_.pop_back();
+  // Move the closure out and free the slot before running it: the
+  // callback may schedule (growing slots_) or try to cancel itself
+  // (which must fail).
+  Slot& slot = slots_[key.slot];
+  const std::function<void()> fn = std::move(slot.fn);
+  slot.fn = nullptr;
+  const char* label = slot.label;
+  retire(key.slot);
+  now_ = key.time;
   ++processed_;
   if (telemetry_ || profiler_) {
-    LabelTally& tally = tallies_[ev.label];
+    LabelTally& tally = tallies_[label];
     ++tally.count;
     if (profiler_) {
       const auto t0 = std::chrono::steady_clock::now();
-      ev.fn();
+      fn();
       tally.wall_seconds += std::chrono::duration<double>(
                                 std::chrono::steady_clock::now() - t0)
                                 .count();
       return true;
     }
   }
-  ev.fn();
+  fn();
   return true;
 }
 
 void Simulator::run_until(SimTime t) {
   for (;;) {
-    prune_cancelled_top();
-    if (queue_.empty() || queue_.top().time > t) break;
-    if (!step()) break;
+    prune_stale_top();
+    if (heap_.empty() || heap_.front().time > t) break;
+    step();
   }
   if (now_ < t) now_ = t;
 }

@@ -3,10 +3,8 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <queue>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "sim/time.hpp"
@@ -29,10 +27,24 @@
 /// explicitly non-deterministic (wall time is not simulation state) but
 /// turning it on cannot perturb a trajectory: neither telemetry nor the
 /// profiler schedules events or consumes randomness.
+///
+/// Storage: the heap holds only POD keys {time, seq, slot, gen}; each
+/// event's closure and label live in a slot of a generation-stamped
+/// array recycled through a free list, so a steady-state run schedules,
+/// fires and cancels without allocating. Firing or cancelling an event
+/// bumps its slot's generation and frees the slot at once; a cancelled
+/// event's key stays in the heap and is skipped when it surfaces (its
+/// generation no longer matches), and the heap is compacted when such
+/// stale keys outnumber the live ones.
 
 namespace qlink::sim {
 
-/// Identifies a scheduled event so it can be cancelled.
+/// Identifies a scheduled event so it can be cancelled:
+/// `(generation << 32) | slot`. Generations start at 1, so 0 is never
+/// issued and callers may use it as "no event". A slot's generation
+/// advances every time its event fires or is cancelled, so a stale id
+/// whose slot now holds a newer event no longer matches and cancels
+/// nothing.
 using EventId = std::uint64_t;
 
 class Simulator {
@@ -64,7 +76,8 @@ class Simulator {
   }
 
   /// Cancel a previously scheduled event. Returns false if the event has
-  /// already fired or was cancelled before. O(1).
+  /// already fired, is running, or was cancelled before. O(1); the
+  /// closure is destroyed immediately.
   bool cancel(EventId id);
 
   /// Run a single event. Returns false if the queue is empty.
@@ -81,8 +94,8 @@ class Simulator {
   std::uint64_t events_processed() const noexcept { return processed_; }
 
   /// Number of events still pending. Exact: cancelled events are
-  /// excluded even while their queue slots await lazy removal.
-  std::size_t pending() const noexcept { return live_.size(); }
+  /// excluded even while their heap keys await lazy removal.
+  std::size_t pending() const noexcept { return live_; }
 
   /// next_event_time() when no live event is pending.
   static constexpr SimTime kNoEventTime = std::numeric_limits<SimTime>::max();
@@ -123,19 +136,28 @@ class Simulator {
   std::vector<LabelStat> hottest(std::size_t k) const;
 
  private:
-  struct Scheduled {
+  /// Heap entry. `gen` is the slot's generation at scheduling time; a
+  /// mismatch when the key surfaces means the event was cancelled.
+  struct Key {
     SimTime time;
     std::uint64_t seq;  // tie-break: FIFO within a timestamp
-    EventId id;
-    const char* label;
-    std::function<void()> fn;
+    std::uint32_t slot;
+    std::uint32_t gen;
   };
 
   struct Later {
-    bool operator()(const Scheduled& a, const Scheduled& b) const noexcept {
+    bool operator()(const Key& a, const Key& b) const noexcept {
       if (a.time != b.time) return a.time > b.time;
       return a.seq > b.seq;
     }
+  };
+
+  /// A pending event's closure and label; `fn` is empty while the slot
+  /// sits on the free list.
+  struct Slot {
+    std::function<void()> fn;
+    const char* label = nullptr;
+    std::uint32_t gen = 1;
   };
 
   struct LabelTally {
@@ -143,21 +165,30 @@ class Simulator {
     double wall_seconds = 0.0;
   };
 
-  /// Drop cancelled events sitting at the head of the queue so that
-  /// queue_.top() is always a live event (or the queue is empty).
-  void prune_cancelled_top();
+  bool stale(const Key& key) const noexcept {
+    return slots_[key.slot].gen != key.gen;
+  }
+
+  /// Advance the slot's generation (invalidating its EventId and any
+  /// heap key still naming it) and return it to the free list.
+  void retire(std::uint32_t slot);
+
+  /// Pop stale keys off the heap head so that heap_.front() is live (or
+  /// the heap is empty).
+  void prune_stale_top();
+
+  /// Rebuild the heap without its stale keys. Keys are totally ordered
+  /// by (time, seq), so the firing order is unchanged.
+  void drop_stale_keys();
 
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;
-  EventId next_id_ = 1;
   std::uint64_t processed_ = 0;
-  std::priority_queue<Scheduled, std::vector<Scheduled>, Later> queue_;
-  /// Ids scheduled but not yet fired or cancelled.
-  std::unordered_set<EventId> live_;
-  /// Ids cancelled but whose queue slot has not been popped yet; each
-  /// entry is erased when its slot surfaces, so the set stays bounded by
-  /// the queue size.
-  std::unordered_set<EventId> cancelled_;
+  std::vector<Key> heap_;  // binary min-heap under Later
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_slots_;
+  std::size_t live_ = 0;   // scheduled, not yet fired or cancelled
+  std::size_t stale_ = 0;  // cancelled keys still in heap_
 
   bool telemetry_ = false;
   bool profiler_ = false;

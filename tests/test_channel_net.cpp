@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "net/channel.hpp"
 #include "sim/simulator.hpp"
 
@@ -114,6 +117,74 @@ TEST(ClassicalChannel, LossProbabilityAdjustableAtRuntime) {
   chan.send_from(0, {0});
   s.run_all();
   EXPECT_EQ(received, 1);
+}
+
+TEST(ClassicalChannel, ResendFromHandlerKeepsFifoOrder) {
+  // Zero delay puts every delivery on one timestamp: the re-sends made
+  // inside the handler must queue behind the frames already in flight.
+  sim::Simulator s;
+  sim::Random rnd(10);
+  ClassicalChannel chan(s, "c", 0, rnd, 0.0);
+  std::vector<std::uint8_t> order;
+  chan.set_receiver(1, [&](std::vector<std::uint8_t> b) {
+    order.push_back(b[0]);
+    if (b[0] < 10) chan.send_from(0, {static_cast<std::uint8_t>(b[0] + 10)});
+  });
+  for (std::uint8_t i = 0; i < 3; ++i) chan.send_from(0, {i});
+  s.run_all();
+  EXPECT_EQ(order, (std::vector<std::uint8_t>{0, 1, 2, 10, 11, 12}));
+  EXPECT_EQ(chan.frames_delivered(), 6u);
+}
+
+TEST(ClassicalChannel, InterleavedDirectionsDeliverInOrderOnEachSide) {
+  sim::Simulator s;
+  sim::Random rnd(11);
+  ClassicalChannel chan(s, "c", 25, rnd, 0.0);
+  std::vector<std::pair<sim::SimTime, std::uint8_t>> at0;
+  std::vector<std::pair<sim::SimTime, std::uint8_t>> at1;
+  chan.set_receiver(0, [&](std::vector<std::uint8_t> b) {
+    at0.emplace_back(s.now(), b[0]);
+  });
+  chan.set_receiver(1, [&](std::vector<std::uint8_t> b) {
+    at1.emplace_back(s.now(), b[0]);
+  });
+  for (std::uint8_t i = 0; i < 6; ++i) {
+    s.run_until(10 * i);
+    chan.send_from(i % 2, {i});
+    chan.send_from(1 - i % 2, {static_cast<std::uint8_t>(100 + i)});
+  }
+  s.run_all();
+  ASSERT_EQ(at0.size(), 6u);
+  ASSERT_EQ(at1.size(), 6u);
+  for (std::uint8_t i = 0; i < 6; ++i) {
+    const sim::SimTime t = 10 * i + 25;
+    const auto reply = static_cast<std::uint8_t>(100 + i);
+    // At even i endpoint 0 sent i and endpoint 1 sent 100 + i.
+    const bool even = i % 2 == 0;
+    EXPECT_EQ(at1[i].first, t);
+    EXPECT_EQ(at1[i].second, even ? i : reply);
+    EXPECT_EQ(at0[i].first, t);
+    EXPECT_EQ(at0[i].second, even ? reply : i);
+  }
+}
+
+TEST(ClassicalChannel, FrameToUnconnectedEndpointIsNotCountedDelivered) {
+  sim::Simulator s;
+  sim::Random rnd(12);
+  ClassicalChannel chan(s, "c", 5, rnd, 0.0);
+  chan.send_from(0, {1});
+  s.run_all();
+  EXPECT_EQ(chan.frames_sent(), 1u);
+  EXPECT_EQ(chan.frames_delivered(), 0u);
+  EXPECT_EQ(chan.frames_dropped(), 0u);
+  // The discarded frame left the in-flight queue: the next one sent is
+  // the one a newly attached receiver gets.
+  std::vector<std::uint8_t> got;
+  chan.set_receiver(1, [&](std::vector<std::uint8_t> b) { got = b; });
+  chan.send_from(0, {2});
+  s.run_all();
+  EXPECT_EQ(got, (std::vector<std::uint8_t>{2}));
+  EXPECT_EQ(chan.frames_delivered(), 1u);
 }
 
 }  // namespace

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <random>
+#include <vector>
+
 #include "net/crc.hpp"
 #include "net/packets.hpp"
 #include "net/wire.hpp"
@@ -15,6 +19,34 @@ TEST(Crc32, KnownVector) {
 
 TEST(Crc32, EmptyInput) {
   EXPECT_EQ(crc32(std::span<const std::uint8_t>{}), 0x00000000u);
+}
+
+/// Bit-at-a-time CRC-32 straight from the reflected polynomial.
+std::uint32_t crc32_bitwise(std::span<const std::uint8_t> data) {
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (std::uint8_t byte : data) {
+    c ^= byte;
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32, MatchesBitwiseReferenceOnEveryLengthUpTo256) {
+  // Covers whole 8-byte blocks, every tail length, and unaligned starts.
+  std::mt19937 gen(2024);
+  std::uniform_int_distribution<int> byte(0, 255);
+  std::vector<std::uint8_t> buf(260);
+  for (int trial = 0; trial < 4; ++trial) {
+    for (auto& b : buf) b = static_cast<std::uint8_t>(byte(gen));
+    for (std::size_t len = 0; len <= 256; ++len) {
+      const std::size_t offset = static_cast<std::size_t>(trial);
+      const std::span<const std::uint8_t> data(buf.data() + offset, len);
+      ASSERT_EQ(crc32(data), crc32_bitwise(data))
+          << "length " << len << " offset " << offset;
+    }
+  }
 }
 
 TEST(Wire, RoundTripsAllTypes) {
@@ -202,6 +234,58 @@ TEST(Packets, UnsealRejectsCorruptCrc) {
   auto framed = seal(PacketType::kMhpGen, p.encode());
   framed.back() ^= 0xFF;
   EXPECT_FALSE(unseal(framed).has_value());
+}
+
+TEST(Packets, UnsealPayloadIsAViewIntoTheFrame) {
+  ReplyPacket p;
+  p.seq_mhp = 99;
+  p.cycle = 123456;
+  const auto framed = seal(p);
+  const auto frame = unseal(framed);
+  ASSERT_TRUE(frame.has_value());
+  EXPECT_EQ(frame->type, PacketType::kMhpReply);
+  EXPECT_EQ(frame->payload.data(), framed.data() + 1);
+  EXPECT_EQ(frame->payload.size(), framed.size() - 5);
+  EXPECT_EQ(ReplyPacket::decode(frame->payload).seq_mhp, 99u);
+
+  // Every truncation and every single-bit flip is still rejected.
+  const std::span<const std::uint8_t> all(framed);
+  for (std::size_t len = 0; len < framed.size(); ++len) {
+    EXPECT_FALSE(unseal(all.first(len)).has_value()) << "length " << len;
+  }
+  auto flipped = framed;
+  for (std::size_t i = 0; i < flipped.size(); ++i) {
+    for (int bit = 0; bit < 8; ++bit) {
+      flipped[i] ^= static_cast<std::uint8_t>(1u << bit);
+      EXPECT_FALSE(unseal(flipped).has_value()) << "byte " << i;
+      flipped[i] ^= static_cast<std::uint8_t>(1u << bit);
+    }
+  }
+}
+
+TEST(Packets, SealPacketMatchesSealOfEncodedPayload) {
+  // seal(packet) encodes straight into the frame buffer; the bytes must
+  // equal the two-step seal(type, encode()).
+  GenPacket gen;
+  gen.node_id = 7;
+  gen.alpha = 0.1;
+  EXPECT_EQ(seal(gen), seal(PacketType::kMhpGen, gen.encode()));
+  ReplyPacket reply;
+  reply.m_outcome = 1;
+  EXPECT_EQ(seal(reply), seal(PacketType::kMhpReply, reply.encode()));
+  DqpPacket dqp;
+  dqp.create_id = 42;
+  dqp.max_time_ns = -1;
+  EXPECT_EQ(seal(dqp), seal(PacketType::kDqpFrame, dqp.encode()));
+  ExpirePacket expire;
+  expire.seq_high = 5;
+  EXPECT_EQ(seal(expire), seal(PacketType::kExpire, expire.encode()));
+  ExpireAckPacket ack;
+  ack.expected_seq = 3;
+  EXPECT_EQ(seal(ack), seal(PacketType::kExpireAck, ack.encode()));
+  MemAdvertPacket advert;
+  advert.storage_free = 2;
+  EXPECT_EQ(seal(advert), seal(PacketType::kMemAdvert, advert.encode()));
 }
 
 TEST(Packets, UnsealRejectsTinyFrames) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include "sim/entity.hpp"
@@ -272,6 +274,118 @@ TEST(Simulator, RunUntilDoesNotOvershootPastCancelledHead) {
   EXPECT_EQ(s.pending(), 1u);
   s.run_all();
   EXPECT_TRUE(late_ran);
+}
+
+std::uint32_t slot_of(EventId id) { return static_cast<std::uint32_t>(id); }
+
+TEST(Simulator, StaleIdDoesNotCancelEventInReusedSlot) {
+  // ABA: the slot of a cancelled (or fired) event is recycled for the
+  // next one; the old id must not reach the new occupant.
+  Simulator s;
+  const EventId a = s.schedule_at(10, [] {});
+  ASSERT_TRUE(s.cancel(a));
+  bool b_ran = false;
+  const EventId b = s.schedule_at(10, [&] { b_ran = true; });
+  ASSERT_EQ(slot_of(b), slot_of(a));
+  EXPECT_NE(b, a);
+  EXPECT_FALSE(s.cancel(a));
+  EXPECT_EQ(s.pending(), 1u);
+
+  s.run_all();
+  EXPECT_TRUE(b_ran);
+  bool c_ran = false;
+  const EventId c = s.schedule_at(20, [&] { c_ran = true; });
+  ASSERT_EQ(slot_of(c), slot_of(b));
+  EXPECT_FALSE(s.cancel(b));  // fired; its slot now holds c
+  s.run_all();
+  EXPECT_TRUE(c_ran);
+}
+
+TEST(Simulator, CancelOfRunningEventFromItsOwnCallbackFails) {
+  Simulator s;
+  EventId self = 0;
+  bool cancelled = true;
+  self = s.schedule_at(5, [&] { cancelled = s.cancel(self); });
+  s.run_all();
+  EXPECT_FALSE(cancelled);
+  EXPECT_EQ(s.events_processed(), 1u);
+  EXPECT_EQ(s.pending(), 0u);
+}
+
+TEST(Simulator, PendingIsExactWhileCancelledKeysSitInTheHeap) {
+  Simulator s;
+  std::vector<EventId> ids;
+  for (int i = 0; i < 100; ++i) ids.push_back(s.schedule_at(10 + i, [] {}));
+  for (std::size_t i = 0; i < ids.size(); i += 2) {
+    ASSERT_TRUE(s.cancel(ids[i]));
+  }
+  EXPECT_EQ(s.pending(), 50u);
+  EXPECT_EQ(s.heap_high_water(), 100u);
+  EXPECT_EQ(s.next_event_time(), 11);  // the cancelled head is skipped
+  EXPECT_EQ(s.pending(), 50u);
+  s.run_until(59);
+  EXPECT_EQ(s.events_processed(), 25u);
+  EXPECT_EQ(s.pending(), 25u);
+  s.run_all();
+  EXPECT_EQ(s.events_processed(), 50u);
+  EXPECT_EQ(s.pending(), 0u);
+}
+
+TEST(Simulator, SlotsAndHeapStayBoundedOverMillionScheduleCancelPairs) {
+  // The mhp.timeout pattern: armed, then cancelled before it fires.
+  // Freed slots are recycled, so slot indices never exceed the peak
+  // number of pending events, and stale heap keys are compacted away.
+  Simulator s;
+  int fired = 0;
+  for (int i = 0; i < 3; ++i) s.schedule_at(1'000'000'000, [&] { ++fired; });
+  std::uint32_t max_slot = 0;
+  for (int i = 0; i < 1'000'000; ++i) {
+    const EventId id = s.schedule_in(1000 + i % 7, [] {}, "test.timeout");
+    max_slot = std::max(max_slot, slot_of(id));
+    ASSERT_TRUE(s.cancel(id));
+  }
+  EXPECT_LT(max_slot, 4u);  // peak pending is 4
+  EXPECT_EQ(s.pending(), 3u);
+  EXPECT_LT(s.heap_high_water(), 10'000u);
+  s.run_all();
+  EXPECT_EQ(fired, 3);
+  EXPECT_EQ(s.events_processed(), 3u);
+}
+
+TEST(Simulator, IdZeroIsNeverIssued) {
+  Simulator s;
+  for (int round = 0; round < 100; ++round) {
+    std::vector<EventId> ids;
+    for (int i = 0; i < 10; ++i) {
+      ids.push_back(s.schedule_in(1 + i, [] {}));
+      EXPECT_NE(ids.back(), 0u);
+      EXPECT_NE(ids.back() >> 32, 0u);  // generation part
+    }
+    for (std::size_t i = 0; i < ids.size(); i += 3) s.cancel(ids[i]);
+    s.run_all();
+  }
+}
+
+TEST(Simulator, CallbackMaySchedulePastSlotCapacity) {
+  // The running closure is moved out of its slot before it is called,
+  // so growing the slot array from inside it is safe (checked under
+  // ASan in CI).
+  Simulator s;
+  std::vector<int> order;
+  int outer_calls = 0;
+  s.schedule_at(1, [&] {
+    ++outer_calls;
+    for (int i = 0; i < 10'000; ++i) {
+      s.schedule_in(1 + i / 100, [&order, i] { order.push_back(i); });
+    }
+  });
+  s.run_all();
+  EXPECT_EQ(outer_calls, 1);
+  ASSERT_EQ(order.size(), 10'000u);
+  for (int i = 0; i < 10'000; ++i) {
+    EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
+  }
+  EXPECT_EQ(s.pending(), 0u);
 }
 
 }  // namespace
