@@ -40,14 +40,14 @@
 //          [--netstate PATH] [--report PATH]
 //   --monitor writes every run's interval telemetry (obs::Monitor,
 //   ISSUE 7) as one JSONL file; records carry a "scenario/mode" run
-//   label (e.g. "grid/pr4") so tools/monitor_check.py validates each
+//   label (e.g. "grid/pr4") so tools/interval_check.py validates each
 //   of the four runs separately. Monitors are always attached (they
 //   cannot perturb the trajectory); per-run stalled_intervals and
 //   peak_backlog land in the JSON rows and as summed/max'd top-level
 //   scalars for the CI gate.
 //   --netstate writes every run's per-edge network-state stream
 //   (obs::NetState, ISSUE 8) as "scenario/mode"-labelled JSONL,
-//   validated in CI by tools/netstate_check.py; the run-wide max
+//   validated in CI by tools/interval_check.py; the run-wide max
 //   per-edge utilization lands in the hot_edge_max_utilization scalar.
 //   --report writes a Markdown run report (obs::report) with summary
 //   counters, hot edges, contention, and latency phase decomposition.
@@ -235,7 +235,7 @@ Row run_mode(const Options& opt, const char* scenario, const char* mode,
 
   // Construct the sampler before any submission: its baseline snapshot
   // must predate the first lease so the per-interval deltas sum to the
-  // final cumulative table (netstate_check.py reconciles exactly that).
+  // final cumulative table (interval_check.py reconciles exactly that).
   obs::NetStateConfig nsc;
   nsc.run = std::string(scenario) + "/" + mode;
   obs::NetState netstate(net->simulator(), edge_stats, std::move(nsc));

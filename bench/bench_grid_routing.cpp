@@ -38,13 +38,13 @@
 //   runs write byte-identical files.
 //   --monitor writes the grid + dragonfly scenarios' interval telemetry
 //   (obs::Monitor, ISSUE 7) as JSONL at PATH, one "run"-labelled record
-//   per 100 ms of sim time — validated in CI by tools/monitor_check.py.
+//   per 100 ms of sim time — validated in CI by tools/interval_check.py.
 //   The monitors run regardless (they cannot perturb the trajectory);
 //   their stalled_intervals / peak_backlog land in the JSON scalars.
 //   --netstate writes every scenario's per-edge network-state stream
 //   (obs::NetState, ISSUE 8) as "run"-labelled JSONL at PATH —
 //   utilization, contention, and hot-edge records validated in CI by
-//   tools/netstate_check.py. Like the monitors, the samplers run
+//   tools/interval_check.py. Like the monitors, the samplers run
 //   regardless; the run-wide max per-edge utilization lands in the
 //   hot_edge_max_utilization JSON scalar (<= 1 by construction).
 //   --report writes a human-readable Markdown run report at PATH: per

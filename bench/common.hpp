@@ -23,7 +23,7 @@
 /// runs and attaching one cannot change any bench number. `--monitor`
 /// only selects where the records are written; the derived scalars
 /// (`stalled_intervals`, `peak_backlog`) always land in the bench JSON,
-/// and tools/monitor_check.py validates the stream's invariants in CI.
+/// and tools/interval_check.py validates the stream's invariants in CI.
 
 namespace qlink::bench {
 

@@ -67,7 +67,6 @@ void Collector::record_ok(const OkMessage& ok, Priority kind, sim::SimTime t,
     km.fidelity.add(*fidelity);
     om.fidelity.add(*fidelity);
     fidelity_hist_.record(*fidelity);
-    fidelity_res_.add(*fidelity);
   }
 
   const auto it = open_.find({ok.origin_node, ok.create_id});
@@ -83,7 +82,6 @@ void Collector::record_ok(const OkMessage& ok, Priority kind, sim::SimTime t,
     km.request_latency_s.add(request_latency);
     om.request_latency_s.add(request_latency);
     request_latency_hist_.record(request_latency);
-    request_latency_res_.add(request_latency);
     const double scaled =
         request_latency / static_cast<double>(std::max<std::uint16_t>(
                               req.num_pairs, 1));
@@ -137,17 +135,24 @@ void Collector::note_slow_request(std::uint32_t id, const OpenRequest& req,
   slow.phase_s[static_cast<std::size_t>(Phase::kDelivery)] = req.delivery_s;
   slow.origin = req.origin;
   slow.id = id;
+  // The keeper is sorted, so a full one only changes when the
+  // candidate ranks before its last entry.
+  if (slowest_.size() >= kSlowestCapacity &&
+      !ranks_slower(slow, slowest_.back())) {
+    return;
+  }
   slowest_.push_back(slow);
   sort_and_trim_slowest(slowest_);
 }
 
+bool Collector::ranks_slower(const SlowRequest& a, const SlowRequest& b) {
+  if (a.total_s != b.total_s) return a.total_s > b.total_s;
+  if (a.origin != b.origin) return a.origin < b.origin;
+  return a.id < b.id;
+}
+
 void Collector::sort_and_trim_slowest(std::vector<SlowRequest>& v) {
-  std::sort(v.begin(), v.end(),
-            [](const SlowRequest& a, const SlowRequest& b) {
-              if (a.total_s != b.total_s) return a.total_s > b.total_s;
-              if (a.origin != b.origin) return a.origin < b.origin;
-              return a.id < b.id;
-            });
+  std::sort(v.begin(), v.end(), ranks_slower);
   if (v.size() > kSlowestCapacity) v.resize(kSlowestCapacity);
 }
 
@@ -160,9 +165,10 @@ void Collector::record_resubmit(std::uint32_t origin, std::uint32_t old_id,
   if (it != open_.end()) {
     OpenRequest req = it->second;
     // Re-scale to the resubmission's remaining pairs — the recreate
-    // branch below can only know those, so both error classes
-    // (kExpired keeps the entry, others erase it via record_err) must
-    // yield the same scaled_latency_s divisor.
+    // branch below can only know those, so an entry that is still open
+    // (a partial-range kExpired revoke keeps it) and one that
+    // record_err already erased must yield the same scaled_latency_s
+    // divisor.
     req.num_pairs = num_pairs;
     open_erase(it);
     open_insert({origin, new_id}, req);
@@ -177,10 +183,11 @@ void Collector::record_resubmit(std::uint32_t origin, std::uint32_t old_id,
 
 void Collector::record_err(const core::ErrMessage& err) {
   error_counts_[err.error] += 1;
-  if (err.error != core::EgpError::kExpired) {
-    const auto it = open_.find({err.origin_node, err.create_id});
-    if (it != open_.end()) open_erase(it);
-  }
+  const bool partial_revoke = err.error == core::EgpError::kExpired &&
+                              (err.seq_low != 0 || err.seq_high != 0);
+  if (partial_revoke) return;
+  const auto it = open_.find({err.origin_node, err.create_id});
+  if (it != open_.end()) open_erase(it);
 }
 
 void Collector::record_correlation(Basis basis, int outcome_a, int outcome_b,
@@ -287,8 +294,6 @@ void Collector::merge(const Collector& other) {
   slowest_.insert(slowest_.end(), other.slowest_.begin(),
                   other.slowest_.end());
   sort_and_trim_slowest(slowest_);
-  request_latency_res_.merge(other.request_latency_res_);
-  fidelity_res_.merge(other.fidelity_res_);
   queue_length_.merge(other.queue_length_);
   route_length_.merge(other.route_length_);
   admission_wait_s_.merge(other.admission_wait_s_);

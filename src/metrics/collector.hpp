@@ -10,7 +10,6 @@
 
 #include "core/requests.hpp"
 #include "metrics/histogram.hpp"
-#include "metrics/reservoir.hpp"
 #include "metrics/stats.hpp"
 #include "quantum/bell.hpp"
 #include "sim/time.hpp"
@@ -65,6 +64,10 @@ class Collector {
   void record_ok(const core::OkMessage& ok, core::Priority kind,
                  sim::SimTime t, std::optional<double> fidelity);
 
+  /// Counts the error and closes the open request it ends: every
+  /// error class except a partial-range kExpired (a seq-window revoke
+  /// that leaves the request running). A whole-request EXPIRE
+  /// (seq_low == seq_high == 0) ends it like any other error.
   void record_err(const core::ErrMessage& err);
 
   /// One MD (or test-round) correlation sample: outcomes at A and B in a
@@ -197,17 +200,6 @@ class Collector {
   }
   const Histogram& fidelity_hist() const { return fidelity_hist_; }
 
-  // -- Exact-sample quantiles (ISSUE 7) -----------------------------------
-  // Deterministic seeded reservoirs over the same request-latency /
-  // fidelity streams: O(capacity) memory at million-request scale, exact
-  // sample values where the Histogram has ~7% bin width. Their private
-  // RNG never touches the simulation's, so recording cannot perturb a
-  // seeded trajectory.
-  const Reservoir& request_latency_reservoir() const {
-    return request_latency_res_;
-  }
-  const Reservoir& fidelity_reservoir() const { return fidelity_res_; }
-
   // -- Latency phase decomposition (ISSUE 8) ------------------------------
   // "Why was p99 slow": per-phase Histograms over the same control
   // points the existing counters use, plus a bounded keeper of the
@@ -265,13 +257,11 @@ class Collector {
   /// Shard merge (ISSUE 7): fold another collector's records in, as if
   /// both streams had been recorded here. Histograms and counters merge
   /// exactly and commutatively; RunningStats via parallel Welford (~1e-12
-  /// relative reassociation error); reservoirs via Reservoir::merge
-  /// (order-sensitive byte-wise when overflowing — see reservoir.hpp);
-  /// open_ entries union — when the same (origin, create_id) key is
-  /// open in both shards, the entry with the earlier `created` wins
-  /// regardless of merge order (ISSUE 8: latency stays measured from
-  /// the first submission a shard saw); start/end times widen to cover
-  /// both windows.
+  /// relative reassociation error); open_ entries union — when the same
+  /// (origin, create_id) key is open in both shards, the entry with the
+  /// earlier `created` wins regardless of merge order (latency stays
+  /// measured from the first submission a shard saw); start/end times
+  /// widen to cover both windows.
   void merge(const Collector& other);
 
  private:
@@ -292,6 +282,8 @@ class Collector {
   /// Fold a completing request into the slowest-request keeper.
   void note_slow_request(std::uint32_t id, const OpenRequest& req,
                          double total_s);
+  /// The keeper's order: (total_s desc, origin asc, id asc).
+  static bool ranks_slower(const SlowRequest& a, const SlowRequest& b);
   static void sort_and_trim_slowest(std::vector<SlowRequest>& v);
 
   using OpenKey = std::pair<std::uint32_t, std::uint32_t>;
@@ -321,10 +313,6 @@ class Collector {
   std::array<Histogram, kNumPhases> phase_hists_{};
   /// Sorted (total_s desc, origin asc, id asc), <= kSlowestCapacity.
   std::vector<SlowRequest> slowest_;
-  // Distinct fixed seeds: deterministic per construction, independent
-  // streams per metric.
-  Reservoir request_latency_res_{1024, 0x716c4c61747265ULL};
-  Reservoir fidelity_res_{1024, 0x716c4669646c74ULL};
   RunningStat queue_length_;
   RunningStat route_length_;
   RunningStat admission_wait_s_;

@@ -4,19 +4,14 @@
 
 namespace qlink::metrics {
 
-EdgeStats::EdgeStats(std::size_t num_edges, std::size_t num_nodes,
-                     std::size_t sketch_capacity)
-    : edges_(num_edges),
-      nodes_(num_nodes),
-      coverage_(num_edges),
-      sketch_(sketch_capacity) {}
+EdgeStats::EdgeStats(std::size_t num_edges, std::size_t num_nodes)
+    : edges_(num_edges), nodes_(num_nodes), coverage_(num_edges) {}
 
 void EdgeStats::on_lease(std::size_t edge, std::uint64_t ticket,
                          sim::SimTime start, sim::SimTime end) {
   ++edges_.at(edge).leases;
   ++lease_count_;
   coverage_[edge].open.push_back(Window{ticket, start, end});
-  sketch_.add(static_cast<std::uint64_t>(edge));
 }
 
 void EdgeStats::on_lease_release(std::size_t edge, std::uint64_t ticket,
@@ -36,10 +31,7 @@ void EdgeStats::on_lease_release(std::size_t edge, std::uint64_t ticket,
 }
 
 void EdgeStats::on_blocked(std::span<const std::size_t> footprint) {
-  for (const std::size_t e : footprint) {
-    ++edges_.at(e).blocked;
-    sketch_.add(static_cast<std::uint64_t>(e));
-  }
+  for (const std::size_t e : footprint) ++edges_.at(e).blocked;
 }
 
 void EdgeStats::on_admission_wait(std::span<const std::size_t> edges,
@@ -56,7 +48,6 @@ void EdgeStats::on_admission_wait(std::span<const std::size_t> edges,
 void EdgeStats::on_attempt(std::size_t edge, std::uint64_t pairs) {
   edges_.at(edge).attempts += pairs;
   attempt_pairs_ += pairs;
-  sketch_.add(static_cast<std::uint64_t>(edge), pairs);
 }
 
 void EdgeStats::on_swap(std::uint32_t node) {
@@ -104,6 +95,23 @@ double EdgeStats::busy_seconds(std::size_t edge, sim::SimTime t) const {
   return sim::to_seconds(cov.busy);
 }
 
+std::vector<EdgeStats::HotEdge> EdgeStats::hot_edges(std::size_t k) const {
+  std::vector<HotEdge> ranked;
+  for (std::size_t e = 0; e < edges_.size(); ++e) {
+    const EdgeCounters& c = edges_[e];
+    const std::uint64_t count = c.leases + c.blocked + c.attempts;
+    if (count > 0) ranked.push_back({e, count});
+  }
+  const std::size_t n = std::min(k, ranked.size());
+  std::partial_sort(ranked.begin(), ranked.begin() + n, ranked.end(),
+                    [](const HotEdge& a, const HotEdge& b) {
+                      if (a.count != b.count) return a.count > b.count;
+                      return a.edge < b.edge;
+                    });
+  ranked.resize(n);
+  return ranked;
+}
+
 void EdgeStats::merge(const EdgeStats& other) {
   const std::size_t edges = std::min(edges_.size(), other.edges_.size());
   for (std::size_t i = 0; i < edges; ++i) {
@@ -128,7 +136,6 @@ void EdgeStats::merge(const EdgeStats& other) {
     nodes_[i].swaps += other.nodes_[i].swaps;
     nodes_[i].terminals += other.nodes_[i].terminals;
   }
-  sketch_.merge(other.sketch_);
   blocked_requests_ += other.blocked_requests_;
   deliveries_ += other.deliveries_;
   admission_waits_ += other.admission_waits_;

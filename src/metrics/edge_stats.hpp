@@ -4,7 +4,6 @@
 #include <span>
 #include <vector>
 
-#include "metrics/spacesaving.hpp"
 #include "metrics/stats.hpp"
 #include "sim/time.hpp"
 
@@ -27,10 +26,9 @@
 /// active leases" is busy over elapsed, which is in [0, 1] by
 /// construction. Windows are folded incrementally at (monotone) query
 /// boundaries, so memory stays O(concurrently open leases per edge),
-/// not O(history). Exact accumulators cover today's topologies; the
-/// SpaceSaving sketch keeps hot-edge *ranking* O(k) for the
-/// 1000+-node tier (fed one activity event per lease placement,
-/// blocked-arrival footprint edge, and per-hop CREATE attempt).
+/// not O(history). Every counter is exact, and shard merges sum them,
+/// so the hot-edge ranking needs no state of its own: hot_edges()
+/// ranks the counters when asked.
 
 namespace qlink::metrics {
 
@@ -64,8 +62,15 @@ class EdgeStats {
     std::uint64_t terminals = 0;
   };
 
-  EdgeStats(std::size_t num_edges, std::size_t num_nodes,
-            std::size_t sketch_capacity = 64);
+  /// One entry of the hot-edge activity ranking.
+  struct HotEdge {
+    std::size_t edge = 0;
+    /// leases + blocked + attempts: one per lease placement, one per
+    /// blocked-arrival footprint, one per CREATE pair fanned onto it.
+    std::uint64_t count = 0;
+  };
+
+  EdgeStats(std::size_t num_edges, std::size_t num_nodes);
 
   // -- ReservationTable hooks ---------------------------------------------
   /// A lease window [start, end) was placed on `edge` (end may be
@@ -127,15 +132,16 @@ class EdgeStats {
   std::uint64_t attempt_pairs() const noexcept { return attempt_pairs_; }
   std::uint64_t swaps() const noexcept { return swaps_; }
 
-  /// Hot-edge activity ranking (see file comment for what feeds it).
-  const SpaceSaving& hot_edges() const noexcept { return sketch_; }
+  /// The `k` most active edges, ranked by (count desc, edge asc); edges
+  /// with no activity are left out. O(E log k) per call.
+  std::vector<HotEdge> hot_edges(std::size_t k) const;
 
   /// Shard merge: counters and fidelity stats sum (parallel Welford),
-  /// the sketch merges by its own rule, busy coverage adds folded
-  /// seconds and concatenates open windows. Exact when the shards
-  /// simulated disjoint sim-time ranges or disjoint edges (the sharded
-  /// engine's plan); both sides should be folded (busy_seconds queried
-  /// at their end times) first.
+  /// so the merged hot_edges() ranking equals a single run's; busy
+  /// coverage adds folded seconds and concatenates open windows. Exact
+  /// when the shards simulated disjoint sim-time ranges or disjoint
+  /// edges (the sharded engine's plan); both sides should be folded
+  /// (busy_seconds queried at their end times) first.
   void merge(const EdgeStats& other);
 
  private:
@@ -157,7 +163,6 @@ class EdgeStats {
   std::vector<EdgeCounters> edges_;
   std::vector<NodeCounters> nodes_;
   mutable std::vector<Coverage> coverage_;
-  SpaceSaving sketch_;
   std::uint64_t blocked_requests_ = 0;
   std::uint64_t deliveries_ = 0;
   std::uint64_t admission_waits_ = 0;

@@ -423,9 +423,17 @@ void SwapService::on_err(std::size_t link, std::uint32_t node,
   const auto find_create = [this, link, &err] {
     return by_create_.find({link, err.origin_node, err.create_id});
   };
+  // The Collector keys requests end to end; an ERR that ends one is
+  // recorded under the end-to-end request's key, not the link's.
+  const auto record_e2e_err = [this, &err](const RequestState& rs) {
+    if (!collector_) return;
+    core::ErrMessage e2e = err;
+    e2e.create_id = rs.id;
+    e2e.origin_node = rs.req.src;
+    collector_->record_err(e2e);
+  };
 
   if (err.error == core::EgpError::kExpired) {
-    if (collector_) collector_->record_err(err);
     // (0,0) is the EGP's whole-request expiry; the CREATE is gone from
     // the link queue, so the end-to-end request can never complete.
     if (err.seq_low == 0 && err.seq_high == 0) {
@@ -441,11 +449,13 @@ void SwapService::on_err(std::size_t link, std::uint32_t node,
             {obs::Tracer::num_arg("link", static_cast<std::uint64_t>(link))});
       }
       if (it != by_create_.end()) {
-        fail_request(requests_.at(it->second.first), link,
-                     core::EgpError::kExpired);
+        RequestState& rs = requests_.at(it->second.first);
+        record_e2e_err(rs);
+        fail_request(rs, link, core::EgpError::kExpired);
       }
       return;
     }
+    if (collector_) collector_->record_err(err);
     // Sequence-gap revokes may arrive with create_id 0 (the EGP cannot
     // always attribute a lost-REPLY gap to one request), so sweep the
     // revoked midpoint range out of every request using this link.
@@ -482,12 +492,7 @@ void SwapService::on_err(std::size_t link, std::uint32_t node,
     return;
   }
   RequestState& rs = requests_.at(it->second.first);
-  if (collector_) {
-    core::ErrMessage e2e = err;
-    e2e.create_id = rs.id;
-    e2e.origin_node = rs.req.src;
-    collector_->record_err(e2e);
-  }
+  record_e2e_err(rs);
   if (tracer_) {
     tracer_->instant(
         rs.req.trace_id, "egp", "error", now(),

@@ -1,8 +1,8 @@
 #include "obs/monitor.hpp"
 
 #include <algorithm>
-#include <cinttypes>
 
+#include "obs/json.hpp"
 #include "obs/trace.hpp"
 #include "routing/router.hpp"
 #include "sim/simulator.hpp"
@@ -10,32 +10,6 @@
 namespace qlink::obs {
 
 namespace {
-
-void append_num(std::string& out, double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  out += buf;
-}
-
-void append_num(std::string& out, std::uint64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%" PRIu64, v);
-  out += buf;
-}
-
-void append_field(std::string& out, const char* key, double v) {
-  out += '"';
-  out += key;
-  out += "\":";
-  append_num(out, v);
-}
-
-void append_field(std::string& out, const char* key, std::uint64_t v) {
-  out += '"';
-  out += key;
-  out += "\":";
-  append_num(out, v);
-}
 
 /// Per-interval histogram delta: just the two fields a live reader
 /// needs (the full distribution stays in the end-of-run Snapshot).
@@ -61,14 +35,11 @@ void append_hist_delta(std::string& out, const char* key,
 
 Monitor::Monitor(const sim::Simulator& simulator,
                  const metrics::Collector& collector, MonitorConfig config)
-    : sim_(simulator), collector_(collector), config_(std::move(config)) {
-  if (config_.interval <= 0) {
-    config_.interval = sim::duration::milliseconds(100);
-  }
-  start_t_ = sim_.now();
-  last_t_ = start_t_;
-  prev_ = sample();
-}
+    : sim_(simulator),
+      collector_(collector),
+      config_(std::move(config)),
+      clock_(simulator, config_.interval, config_.run),
+      prev_(sample()) {}
 
 Monitor::Cumulative Monitor::sample() const {
   Cumulative c;
@@ -102,54 +73,35 @@ std::size_t Monitor::backlog() const {
 }
 
 void Monitor::poll() {
-  if (finished_) return;
-  const sim::SimTime now = sim_.now();
-  if (now - last_t_ < config_.interval) return;
-  // Coalesce every fully elapsed interval into one record stamped at
-  // the last crossed boundary; the remainder stays open.
-  const sim::SimTime span =
-      ((now - last_t_) / config_.interval) * config_.interval;
-  emit(last_t_ + span);
+  clock_.poll([this](std::string& out, sim::SimTime t) { emit(out, t); });
 }
 
 void Monitor::finish() {
-  if (finished_) return;
-  const sim::SimTime now = sim_.now();
-  if (now > last_t_) emit(now);
-
-  std::string& out = jsonl_;
-  out += '{';
-  if (!config_.run.empty()) {
-    out += "\"run\":\"";
-    out += config_.run;
-    out += "\",";
-  }
-  out += "\"final\":true,";
-  append_field(out, "t", static_cast<std::uint64_t>(last_t_));
-  out += ',';
-  append_field(out, "intervals", intervals_);
-  out += ',';
-  append_field(out, "stalled_intervals", stalled_intervals_);
-  out += ',';
-  append_field(out, "peak_backlog", peak_backlog_);
-  out += ',';
-  append_field(out, "deliveries", total_deliveries_);
-  out += ',';
-  append_field(out, "events", total_events_);
-  out += ',';
-  append_field(out, "open_requests",
-               static_cast<std::uint64_t>(collector_.open_requests()));
-  const auto oldest = collector_.oldest_open_created();
-  out += ',';
-  append_field(out, "oldest_open_age_s",
-               oldest ? sim::to_seconds(last_t_ - *oldest) : 0.0);
-  out += "}\n";
-  finished_ = true;
+  clock_.finish(
+      [this](std::string& out, sim::SimTime t) { emit(out, t); },
+      [this](std::string& out) {
+        const sim::SimTime last_t = clock_.last_t();
+        out += ',';
+        append_field(out, "stalled_intervals", stalled_intervals_);
+        out += ',';
+        append_field(out, "peak_backlog", peak_backlog_);
+        out += ',';
+        append_field(out, "deliveries", total_deliveries_);
+        out += ',';
+        append_field(out, "events", total_events_);
+        out += ',';
+        append_field(out, "open_requests",
+                     static_cast<std::uint64_t>(collector_.open_requests()));
+        const auto oldest = collector_.oldest_open_created();
+        out += ',';
+        append_field(out, "oldest_open_age_s",
+                     oldest ? sim::to_seconds(last_t - *oldest) : 0.0);
+      });
 }
 
-void Monitor::emit(sim::SimTime t) {
-  const Cumulative cur = sample();
-  const sim::SimTime dt = t - last_t_;
+void Monitor::emit(std::string& out, sim::SimTime t) {
+  Cumulative cur = sample();
+  const sim::SimTime dt = t - clock_.last_t();
   const double dt_s = sim::to_seconds(dt);
   const std::uint64_t deliveries = cur.deliveries - prev_.deliveries;
   const std::uint64_t events = cur.events - prev_.events;
@@ -163,26 +115,14 @@ void Monitor::emit(sim::SimTime t) {
   // flags once stall_consecutive starved intervals run back-to-back
   // (a coalesced record contributes each full interval it covers).
   const bool starved =
-      dt >= config_.interval && deliveries == 0 && backlog_now > 0;
+      dt >= clock_.interval() && deliveries == 0 && backlog_now > 0;
   if (starved) {
-    stall_run_ += static_cast<std::uint64_t>(dt / config_.interval);
+    stall_run_ += static_cast<std::uint64_t>(dt / clock_.interval());
   } else {
     stall_run_ = 0;
   }
   const bool stalled = starved && stall_run_ >= config_.stall_consecutive;
 
-  std::string& out = jsonl_;
-  out += '{';
-  if (!config_.run.empty()) {
-    out += "\"run\":\"";
-    out += config_.run;
-    out += "\",";
-  }
-  append_field(out, "i", intervals_);
-  out += ',';
-  append_field(out, "t", static_cast<std::uint64_t>(t));
-  out += ',';
-  append_field(out, "dt", static_cast<std::uint64_t>(dt));
   out += ',';
   append_field(out, "deliveries", deliveries);
   out += ',';
@@ -232,7 +172,7 @@ void Monitor::emit(sim::SimTime t) {
                  static_cast<double>(done) /
                      static_cast<double>(config_.target_requests));
     out += ",\"eta_s\":";
-    const double elapsed_s = sim::to_seconds(t - start_t_);
+    const double elapsed_s = sim::to_seconds(t - clock_.start_t());
     if (done == 0 || elapsed_s <= 0.0) {
       out += "null";
     } else if (done >= config_.target_requests) {
@@ -243,7 +183,6 @@ void Monitor::emit(sim::SimTime t) {
                  static_cast<double>(config_.target_requests - done) / rate);
     }
   }
-  out += "}\n";
 
   if (stalled) {
     ++stalled_intervals_;
@@ -254,16 +193,10 @@ void Monitor::emit(sim::SimTime t) {
            Tracer::num_arg("oldest_open_age_s", oldest_age_s)});
     }
   }
-  ++intervals_;
   peak_backlog_ = std::max(peak_backlog_, backlog_now);
   total_deliveries_ += deliveries;
   total_events_ += events;
-  last_t_ = t;
-  prev_ = cur;
-}
-
-void Monitor::write_jsonl(std::FILE* f) const {
-  std::fwrite(jsonl_.data(), 1, jsonl_.size(), f);
+  prev_ = std::move(cur);
 }
 
 }  // namespace qlink::obs

@@ -6,6 +6,7 @@
 
 #include "metrics/collector.hpp"
 #include "metrics/histogram.hpp"
+#include "obs/interval_clock.hpp"
 #include "sim/time.hpp"
 
 /// \file monitor.hpp
@@ -27,15 +28,10 @@
 /// one cannot perturb a seeded trajectory, and two same-seed runs write
 /// byte-identical JSONL.
 ///
-/// Sampling semantics: poll() emits a record whenever at least one full
-/// interval has elapsed since the last record. Sparse polling coalesces
-/// the elapsed intervals into a single record whose `dt` is the covered
-/// span (a multiple of the interval); values are sampled at the poll
-/// that crosses the boundary and stamped at the boundary time `t`.
-/// finish() flushes the trailing partial interval (its `dt` may be
-/// shorter) and appends a `"final": true` summary line whose totals
-/// equal the per-record delta sums — the invariant
-/// tools/monitor_check.py enforces.
+/// Sampling semantics are obs::IntervalClock's: values are sampled at
+/// the poll that crosses a boundary and stamped at the boundary time
+/// `t`; the `"final": true` summary line's totals equal the per-record
+/// delta sums — the invariant tools/interval_check.py enforces.
 ///
 /// Stall watchdog: a record whose span covers at least one full
 /// interval, delivered zero pairs, and sampled a positive admission
@@ -53,10 +49,6 @@ namespace qlink::routing {
 class Router;
 }  // namespace qlink::routing
 
-namespace qlink::sim {
-class Simulator;
-}  // namespace qlink::sim
-
 namespace qlink::obs {
 
 class Tracer;
@@ -65,7 +57,7 @@ struct MonitorConfig {
   /// Record cadence in sim time (> 0).
   sim::SimTime interval = sim::duration::milliseconds(100);
   /// Label stamped into every record as "run" (empty = omitted); lets
-  /// several monitored runs share one JSONL file (monitor_check.py
+  /// several monitored runs share one JSONL file (interval_check.py
   /// validates each label group independently).
   std::string run;
   /// Expected request completions; > 0 enables the progress / eta_s
@@ -102,7 +94,7 @@ class Monitor {
   /// line. Idempotent; poll() after finish() is a no-op.
   void finish();
 
-  std::uint64_t intervals() const noexcept { return intervals_; }
+  std::uint64_t intervals() const noexcept { return clock_.intervals(); }
   std::uint64_t stalled_intervals() const noexcept {
     return stalled_intervals_;
   }
@@ -113,8 +105,8 @@ class Monitor {
     return total_deliveries_;
   }
 
-  const std::string& jsonl() const noexcept { return jsonl_; }
-  void write_jsonl(std::FILE* f) const;
+  const std::string& jsonl() const noexcept { return clock_.jsonl(); }
+  void write_jsonl(std::FILE* f) const { clock_.write_jsonl(f); }
 
  private:
   struct Cumulative {
@@ -131,25 +123,21 @@ class Monitor {
   Cumulative sample() const;
   std::uint64_t completed_total() const;
   std::size_t backlog() const;
-  /// One record covering (last_t_, t]; `t` must be > last_t_.
-  void emit(sim::SimTime t);
+  /// The fields of one record covering (clock_.last_t(), t].
+  void emit(std::string& out, sim::SimTime t);
 
   const sim::Simulator& sim_;
   const metrics::Collector& collector_;
   const routing::Router* router_ = nullptr;
   MonitorConfig config_;
+  IntervalClock clock_;
 
-  sim::SimTime start_t_ = 0;
-  sim::SimTime last_t_ = 0;
   Cumulative prev_;
-  std::uint64_t intervals_ = 0;
   std::uint64_t stall_run_ = 0;  // consecutive starved intervals
   std::uint64_t stalled_intervals_ = 0;
   std::uint64_t peak_backlog_ = 0;
   std::uint64_t total_deliveries_ = 0;
   std::uint64_t total_events_ = 0;
-  bool finished_ = false;
-  std::string jsonl_;
 };
 
 }  // namespace qlink::obs

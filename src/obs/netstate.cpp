@@ -1,60 +1,26 @@
 #include "obs/netstate.hpp"
 
 #include <algorithm>
-#include <cinttypes>
 
 #include "metrics/collector.hpp"
+#include "obs/json.hpp"
 #include "routing/graph.hpp"
-#include "sim/simulator.hpp"
 
 namespace qlink::obs {
 
-namespace {
-
-void append_num(std::string& out, double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  out += buf;
-}
-
-void append_num(std::string& out, std::uint64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%" PRIu64, v);
-  out += buf;
-}
-
-void append_field(std::string& out, const char* key, double v) {
-  out += '"';
-  out += key;
-  out += "\":";
-  append_num(out, v);
-}
-
-void append_field(std::string& out, const char* key, std::uint64_t v) {
-  out += '"';
-  out += key;
-  out += "\":";
-  append_num(out, v);
-}
-
-}  // namespace
-
 NetState::NetState(const sim::Simulator& simulator,
                    const metrics::EdgeStats& stats, NetStateConfig config)
-    : sim_(simulator), stats_(stats), config_(std::move(config)) {
-  if (config_.interval <= 0) {
-    config_.interval = sim::duration::milliseconds(100);
-  }
+    : stats_(stats),
+      config_(std::move(config)),
+      clock_(simulator, config_.interval, config_.run) {
   if (config_.top_k == 0) config_.top_k = 8;
-  start_t_ = sim_.now();
-  last_t_ = start_t_;
-  prev_ = sample(start_t_);
+  sample(clock_.start_t(), prev_);
   start_busy_s_.reserve(prev_.size());
   for (const EdgeSnap& s : prev_) start_busy_s_.push_back(s.busy_s);
 }
 
-std::vector<NetState::EdgeSnap> NetState::sample(sim::SimTime t) const {
-  std::vector<EdgeSnap> snaps(stats_.num_edges());
+void NetState::sample(sim::SimTime t, std::vector<EdgeSnap>& snaps) const {
+  snaps.resize(stats_.num_edges());
   for (std::size_t e = 0; e < snaps.size(); ++e) {
     const metrics::EdgeStats::EdgeCounters& c = stats_.edge(e);
     EdgeSnap& s = snaps[e];
@@ -64,22 +30,21 @@ std::vector<NetState::EdgeSnap> NetState::sample(sim::SimTime t) const {
     s.attempts = c.attempts;
     s.deliveries = c.deliveries;
   }
-  return snaps;
 }
 
 void NetState::poll() {
-  if (finished_) return;
-  const sim::SimTime now = sim_.now();
-  if (now - last_t_ < config_.interval) return;
-  const sim::SimTime span =
-      ((now - last_t_) / config_.interval) * config_.interval;
-  emit(last_t_ + span);
+  clock_.poll([this](std::string& out, sim::SimTime t) { emit(out, t); });
 }
 
-void NetState::emit(sim::SimTime t) {
-  const std::vector<EdgeSnap> cur = sample(t);
-  const sim::SimTime dt = t - last_t_;
-  const double dt_s = sim::to_seconds(dt);
+void NetState::finish() {
+  clock_.finish([this](std::string& out, sim::SimTime t) { emit(out, t); },
+                [this](std::string& out) { summarize(out); });
+}
+
+void NetState::emit(std::string& out, sim::SimTime t) {
+  sample(t, cur_);
+  const std::vector<EdgeSnap>& cur = cur_;
+  const double dt_s = sim::to_seconds(t - clock_.last_t());
 
   struct HotEdge {
     std::size_t edge = 0;
@@ -117,25 +82,14 @@ void NetState::emit(sim::SimTime t) {
       active.push_back(h);
     }
   }
-  std::sort(active.begin(), active.end(),
-            [](const HotEdge& a, const HotEdge& b) {
-              if (a.util != b.util) return a.util > b.util;
-              return a.edge < b.edge;
-            });
-  if (active.size() > config_.top_k) active.resize(config_.top_k);
+  const std::size_t hot = std::min(config_.top_k, active.size());
+  std::partial_sort(active.begin(), active.begin() + hot, active.end(),
+                    [](const HotEdge& a, const HotEdge& b) {
+                      if (a.util != b.util) return a.util > b.util;
+                      return a.edge < b.edge;
+                    });
+  active.resize(hot);
 
-  std::string& out = jsonl_;
-  out += '{';
-  if (!config_.run.empty()) {
-    out += "\"run\":\"";
-    out += config_.run;
-    out += "\",";
-  }
-  append_field(out, "i", intervals_);
-  out += ',';
-  append_field(out, "t", static_cast<std::uint64_t>(t));
-  out += ',';
-  append_field(out, "dt", static_cast<std::uint64_t>(dt));
   out += ',';
   append_field(out, "leases", leases);
   out += ',';
@@ -175,32 +129,17 @@ void NetState::emit(sim::SimTime t) {
     append_field(out, "deliveries", h.deliveries);
     out += '}';
   }
-  out += "]}\n";
+  out += ']';
 
   max_utilization_ = std::max(max_utilization_, util_max);
-  ++intervals_;
-  last_t_ = t;
-  prev_ = cur;
+  prev_.swap(cur_);
 }
 
-void NetState::finish() {
-  if (finished_) return;
-  const sim::SimTime now = sim_.now();
-  if (now > last_t_) emit(now);
-  const std::vector<EdgeSnap> cur = sample(last_t_);
-  const double elapsed_s = sim::to_seconds(last_t_ - start_t_);
-
-  std::string& out = jsonl_;
-  out += '{';
-  if (!config_.run.empty()) {
-    out += "\"run\":\"";
-    out += config_.run;
-    out += "\",";
-  }
-  out += "\"final\":true,";
-  append_field(out, "t", static_cast<std::uint64_t>(last_t_));
-  out += ',';
-  append_field(out, "intervals", intervals_);
+void NetState::summarize(std::string& out) {
+  // prev_ holds the state at the last boundary: the final record's t.
+  const std::vector<EdgeSnap>& cur = prev_;
+  const double elapsed_s =
+      sim::to_seconds(clock_.last_t() - clock_.start_t());
 
   out += ",\"edges\":[";
   for (std::size_t e = 0; e < cur.size(); ++e) {
@@ -258,30 +197,18 @@ void NetState::finish() {
     out += '}';
   }
 
-  const metrics::SpaceSaving& sketch = stats_.hot_edges();
   out += "],\"hot_edges\":[";
-  const auto top = sketch.top(config_.top_k);
+  const auto top = stats_.hot_edges(config_.top_k);
   for (std::size_t i = 0; i < top.size(); ++i) {
     if (i > 0) out += ',';
     out += '{';
-    append_field(out, "edge", top[i].key);
+    append_field(out, "edge", static_cast<std::uint64_t>(top[i].edge));
     out += ',';
     append_field(out, "count", top[i].count);
-    out += ',';
-    append_field(out, "error", top[i].error);
     out += '}';
   }
-  out += "],\"sketch\":{";
-  append_field(out, "capacity",
-               static_cast<std::uint64_t>(sketch.capacity()));
-  out += ',';
-  append_field(out, "total_weight", sketch.total_weight());
-  out += ',';
-  append_field(out, "evictions", sketch.evictions());
-  out += ",\"exact\":";
-  out += sketch.exact() ? "true" : "false";
 
-  out += "},\"totals\":{";
+  out += "],\"totals\":{";
   append_field(out, "leases", stats_.lease_count());
   out += ',';
   append_field(out, "attempt_pairs", stats_.attempt_pairs());
@@ -315,12 +242,6 @@ void NetState::finish() {
 
   out += ',';
   append_field(out, "max_utilization", max_utilization_);
-  out += "}\n";
-  finished_ = true;
-}
-
-void NetState::write_jsonl(std::FILE* f) const {
-  std::fwrite(jsonl_.data(), 1, jsonl_.size(), f);
 }
 
 }  // namespace qlink::obs

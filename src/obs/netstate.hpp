@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "metrics/edge_stats.hpp"
+#include "obs/interval_clock.hpp"
 #include "sim/time.hpp"
 
 /// \file netstate.hpp
@@ -20,9 +21,10 @@
 /// arrivals, lease placements), link-layer CREATE attempt and per-hop
 /// delivery deltas, and the interval's hottest edges. The final record
 /// carries the full per-edge table, per-node swap/terminal activity,
-/// the deterministic Space-Saving hot-edge ranking, and totals that
-/// tools/netstate_check.py reconciles against the per-record delta
-/// sums and the metrics::Collector's request-level counters.
+/// the exact hot-edge activity ranking (metrics::EdgeStats::hot_edges),
+/// and totals that tools/interval_check.py reconciles against the
+/// per-record delta sums and the metrics::Collector's request-level
+/// counters.
 ///
 /// Same observation contract as Monitor / Tracer: keyed by *sim* time
 /// only, never schedules events, never consumes randomness. It is
@@ -30,11 +32,7 @@
 /// cannot perturb a seeded trajectory and two same-seed runs write
 /// byte-identical JSONL on either qstate backend.
 ///
-/// Sampling semantics follow Monitor: poll() emits one record whenever
-/// at least one full interval elapsed since the last record, coalescing
-/// sparse polls into a single record whose `dt` is the covered span;
-/// finish() flushes the trailing partial interval and appends a
-/// `"final": true` summary line.
+/// Sampling semantics are obs::IntervalClock's, shared with Monitor.
 
 namespace qlink::metrics {
 class Collector;
@@ -44,21 +42,17 @@ namespace qlink::routing {
 class Graph;
 }
 
-namespace qlink::sim {
-class Simulator;
-}
-
 namespace qlink::obs {
 
 struct NetStateConfig {
   /// Record cadence in sim time (> 0).
   sim::SimTime interval = sim::duration::milliseconds(100);
   /// Label stamped into every record as "run" (empty = omitted); lets
-  /// several runs share one JSONL file (netstate_check.py validates
+  /// several runs share one JSONL file (interval_check.py validates
   /// each label group independently).
   std::string run;
   /// Hot-edge list length in interval records and in the final
-  /// sketch-backed ranking.
+  /// activity ranking.
   std::size_t top_k = 8;
 };
 
@@ -84,14 +78,14 @@ class NetState {
   /// line. Idempotent; poll() after finish() is a no-op.
   void finish();
 
-  std::uint64_t intervals() const noexcept { return intervals_; }
+  std::uint64_t intervals() const noexcept { return clock_.intervals(); }
   /// Highest per-edge utilization observed in any emitted record or in
   /// the final full-run table — the bench gate's
   /// `hot_edge_max_utilization` scalar ( <= 1 by construction).
   double max_utilization() const noexcept { return max_utilization_; }
 
-  const std::string& jsonl() const noexcept { return jsonl_; }
-  void write_jsonl(std::FILE* f) const;
+  const std::string& jsonl() const noexcept { return clock_.jsonl(); }
+  void write_jsonl(std::FILE* f) const { clock_.write_jsonl(f); }
 
  private:
   struct EdgeSnap {
@@ -102,26 +96,27 @@ class NetState {
     std::uint64_t deliveries = 0;
   };
 
-  std::vector<EdgeSnap> sample(sim::SimTime t) const;
-  /// One record covering (last_t_, t]; `t` must be > last_t_.
-  void emit(sim::SimTime t);
+  /// Cumulative per-edge state at `t`, into `snaps`.
+  void sample(sim::SimTime t, std::vector<EdgeSnap>& snaps) const;
+  /// The fields of one record covering (clock_.last_t(), t].
+  void emit(std::string& out, sim::SimTime t);
+  /// The final line's per-edge table, nodes, ranking and totals.
+  void summarize(std::string& out);
 
-  const sim::Simulator& sim_;
   const metrics::EdgeStats& stats_;
   const metrics::Collector* collector_ = nullptr;
   const routing::Graph* graph_ = nullptr;
   NetStateConfig config_;
+  IntervalClock clock_;
 
-  sim::SimTime start_t_ = 0;
-  sim::SimTime last_t_ = 0;
+  /// State at clock_.last_t(), and the scratch the next sample fills.
   std::vector<EdgeSnap> prev_;
-  /// Per-edge busy seconds at start_t_ (non-zero when the sampler
-  /// attached mid-run): full-run utilization is measured from here.
+  std::vector<EdgeSnap> cur_;
+  /// Per-edge busy seconds at the clock's start (non-zero when the
+  /// sampler attached mid-run): full-run utilization is measured from
+  /// here.
   std::vector<double> start_busy_s_;
-  std::uint64_t intervals_ = 0;
   double max_utilization_ = 0.0;
-  bool finished_ = false;
-  std::string jsonl_;
 };
 
 }  // namespace qlink::obs

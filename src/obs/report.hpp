@@ -9,8 +9,8 @@
 /// utilization and contention, a stall/contention analysis, and the
 /// latency phase decomposition with the slowest requests' phase
 /// vectors. The benches render each run's section while its World is
-/// alive and concatenate them behind `--report`; tools/report.py is
-/// the offline renderer over the JSON artifacts for CI.
+/// alive and concatenate them behind `--report`; this is the one report
+/// renderer, and CI publishes its Markdown.
 ///
 /// Rendering only reads the same deterministic state the JSONL
 /// emitters read, so two same-seed runs produce byte-identical

@@ -2,6 +2,8 @@
 
 #include <cinttypes>
 
+#include "obs/json.hpp"
+
 namespace qlink::obs {
 
 namespace {
@@ -66,15 +68,15 @@ Tracer::Arg Tracer::str_arg(std::string key, const std::string& value) {
 }
 
 Tracer::Arg Tracer::num_arg(std::string key, double value) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  return Arg{std::move(key), buf};
+  std::string rendered;
+  append_num(rendered, value);
+  return Arg{std::move(key), std::move(rendered)};
 }
 
 Tracer::Arg Tracer::num_arg(std::string key, std::uint64_t value) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%" PRIu64, value);
-  return Arg{std::move(key), buf};
+  std::string rendered;
+  append_num(rendered, value);
+  return Arg{std::move(key), std::move(rendered)};
 }
 
 void Tracer::complete(TraceId trace, const char* cat, const char* name,

@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <random>
+#include <vector>
 
 #include "metrics/collector.hpp"
 #include "metrics/histogram.hpp"
-#include "metrics/reservoir.hpp"
 #include "metrics/stats.hpp"
 
 namespace qlink::metrics {
@@ -172,6 +174,23 @@ TEST(Collector, ErrorsCounted) {
   EXPECT_EQ(c.errors(EgpError::kDenied), 0u);
 }
 
+TEST(Collector, WholeRequestExpireClosesTheOpenRequest) {
+  // A (0, 0) EXPIRE ends the whole request at the EGP, so it must not
+  // stay open; a seq-range revoke leaves the request running.
+  Collector c;
+  c.record_create(0, 1, Priority::kCreateKeep, 2, 0);
+  c.record_create(0, 2, Priority::kCreateKeep, 2, 0);
+  c.record_err({2, EgpError::kExpired, 0, 3, 5});
+  EXPECT_EQ(c.open_requests(), 2u);
+  c.record_err({1, EgpError::kExpired, 0, 0, 0});
+  EXPECT_EQ(c.open_requests(), 1u);
+  c.record_ok(make_ok(0, 2, 1, 2), Priority::kCreateKeep,
+              sim::duration::seconds(1), std::nullopt);
+  EXPECT_EQ(c.open_requests(), 0u);
+  EXPECT_EQ(c.kind(Priority::kCreateKeep).requests_completed, 1u);
+  EXPECT_EQ(c.total_expires(), 2u);
+}
+
 TEST(Collector, FidelitySamplesAggregate) {
   Collector c;
   c.begin(0);
@@ -223,6 +242,22 @@ TEST(RunningStat, MergeWithEmptyEitherWay) {
   EXPECT_NEAR(rhs.mean(), 2.0, 1e-12);
   EXPECT_EQ(rhs.min(), 1.0);
   EXPECT_EQ(rhs.max(), 3.0);
+}
+
+TEST(Histogram, QuantilesTrackTheStream) {
+  // 100k near-uniform samples on (0, 1]: the binned estimate must sit
+  // within its ~8% log-bin width of the exact quantiles.
+  Histogram h;
+  for (int i = 0; i < 100000; ++i) {
+    // Weyl sequence: equidistributed, deterministic, order-scrambled.
+    const double x =
+        static_cast<double>((i * 2654435761ULL) % 100000u + 1) * 1e-5;
+    h.record(x);
+  }
+  EXPECT_EQ(h.count(), 100000u);
+  EXPECT_NEAR(h.p50(), 0.5, 0.08 * 0.5);
+  EXPECT_NEAR(h.p90(), 0.9, 0.08 * 0.9);
+  EXPECT_NEAR(h.p99(), 0.99, 0.08 * 0.99);
 }
 
 TEST(Histogram, DeltaSinceIsolatesTheNewSamples) {
@@ -287,88 +322,6 @@ TEST(Histogram, MergeTakesElementwiseExtremes) {
   EXPECT_DOUBLE_EQ(lhs.min(), 1e-10);
   EXPECT_DOUBLE_EQ(lhs.max(), 2.0);
   EXPECT_EQ(lhs.count(), 4u);
-}
-
-TEST(Reservoir, KeepsEverySampleUnderCapacity) {
-  Reservoir r(8);
-  for (int i = 1; i <= 5; ++i) r.add(static_cast<double>(i));
-  EXPECT_EQ(r.count(), 5u);
-  EXPECT_EQ(r.size(), 5u);
-  EXPECT_DOUBLE_EQ(r.quantile(50.0), 3.0);  // exact, not binned
-  EXPECT_DOUBLE_EQ(r.quantile(0.0), 1.0);
-  EXPECT_DOUBLE_EQ(r.quantile(100.0), 5.0);
-}
-
-TEST(Reservoir, EmptyIsSafe) {
-  Reservoir r;
-  EXPECT_EQ(r.count(), 0u);
-  EXPECT_DOUBLE_EQ(r.quantile(50.0), 0.0);
-}
-
-TEST(Reservoir, DeterministicPerSeed) {
-  Reservoir a(64, 42), b(64, 42), c(64, 43);
-  for (int i = 0; i < 10000; ++i) {
-    const double x = 1e-4 * i;
-    a.add(x);
-    b.add(x);
-    c.add(x);
-  }
-  EXPECT_EQ(a.count(), 10000u);
-  EXPECT_EQ(a.size(), 64u);
-  EXPECT_EQ(a.samples(), b.samples());  // same seed -> byte-identical
-  EXPECT_NE(a.samples(), c.samples());  // different seed -> different draw
-}
-
-TEST(Reservoir, QuantilesTrackTheStreamAndTheHistogram) {
-  // 100k near-uniform samples on (0, 1]: the 4096-sample reservoir's
-  // quantiles must sit close to the exact ones and agree with the
-  // binned Histogram estimate well within its ~8% bin width.
-  Reservoir r(4096, 7);
-  Histogram h;
-  for (int i = 0; i < 100000; ++i) {
-    // Weyl sequence: equidistributed, deterministic, order-scrambled.
-    const double x =
-        static_cast<double>((i * 2654435761ULL) % 100000u + 1) * 1e-5;
-    r.add(x);
-    h.record(x);
-  }
-  EXPECT_EQ(r.count(), 100000u);
-  EXPECT_EQ(r.size(), 4096u);
-  EXPECT_NEAR(r.quantile(50.0), 0.5, 0.05);
-  EXPECT_NEAR(r.quantile(99.0), 0.99, 0.05);
-  EXPECT_NEAR(r.quantile(50.0), h.p50(), 0.15 * h.p50());
-  EXPECT_NEAR(r.quantile(99.0), h.p99(), 0.15 * h.p99());
-}
-
-TEST(Reservoir, MergeIsExactUnionUnderCapacity) {
-  Reservoir a(16), b(16);
-  for (double x : {1.0, 2.0, 3.0}) a.add(x);
-  for (double x : {10.0, 20.0}) b.add(x);
-  a.merge(b);
-  EXPECT_EQ(a.count(), 5u);
-  EXPECT_EQ(a.size(), 5u);
-  EXPECT_DOUBLE_EQ(a.quantile(100.0), 20.0);
-  EXPECT_DOUBLE_EQ(a.quantile(0.0), 1.0);
-}
-
-TEST(Reservoir, MergeIsDeterministicAndWeightBounded) {
-  Reservoir a1(32, 1), a2(32, 1), b1(32, 2), b2(32, 2);
-  for (int i = 0; i < 5000; ++i) {
-    a1.add(1e-4 * i);
-    a2.add(1e-4 * i);
-    b1.add(5.0 + 1e-4 * i);
-    b2.add(5.0 + 1e-4 * i);
-  }
-  a1.merge(b1);
-  a2.merge(b2);
-  EXPECT_EQ(a1.count(), 10000u);
-  EXPECT_EQ(a1.size(), 32u);  // stays at capacity
-  EXPECT_EQ(a1.samples(), a2.samples());  // same states -> same draw
-  // Both halves survive the weighted draw (each holds half the mass).
-  std::size_t low = 0, high = 0;
-  for (const double x : a1.samples()) (x < 5.0 ? low : high)++;
-  EXPECT_GT(low, 0u);
-  EXPECT_GT(high, 0u);
 }
 
 TEST(Collector, OpenRequestTrackingSurfacesInFlightState) {
@@ -460,20 +413,13 @@ TEST(Collector, MergeMatchesSingleStream) {
   EXPECT_NEAR(a.admission_wait().mean(), whole.admission_wait().mean(),
               1e-9);
 
-  // Histograms merge bin-exactly; reservoirs keep every sample while
-  // under capacity, so their quantiles match the whole stream too.
+  // Histograms merge bin-exactly.
   EXPECT_EQ(a.request_latency_hist().count(),
             whole.request_latency_hist().count());
   EXPECT_DOUBLE_EQ(a.request_latency_hist().p99(),
                    whole.request_latency_hist().p99());
   EXPECT_EQ(a.admission_wait_hist().count(),
             whole.admission_wait_hist().count());
-  EXPECT_EQ(a.request_latency_reservoir().count(),
-            whole.request_latency_reservoir().count());
-  EXPECT_DOUBLE_EQ(a.request_latency_reservoir().quantile(50.0),
-                   whole.request_latency_reservoir().quantile(50.0));
-  EXPECT_EQ(a.fidelity_reservoir().count(),
-            whole.fidelity_reservoir().count());
 
   // All requests completed: no open state survives the merge.
   EXPECT_EQ(a.open_requests(), whole.open_requests());
@@ -566,6 +512,41 @@ TEST(Collector, OpenCapacityEvictsOldestDeterministically) {
   EXPECT_EQ(c.open_requests(), 1u);
   EXPECT_EQ(c.open_evicted(), 3u);
   EXPECT_EQ(*c.oldest_open_created(), sim::duration::seconds(12));
+}
+
+TEST(Collector, SlowestRequestsMatchAFullSortOfAShuffledStream) {
+  // More completions than the keeper holds, in shuffled order and with
+  // tied totals: the keeper must equal the head of a full sort by
+  // (total_s desc, origin asc, id asc).
+  struct Done {
+    std::uint32_t origin, id;
+    double total_s;
+  };
+  std::vector<Done> stream;
+  for (std::uint32_t i = 0; i < 5 * Collector::kSlowestCapacity; ++i) {
+    stream.push_back({i % 3, 100 + i, 0.25 * static_cast<double>(i % 11)});
+  }
+  std::shuffle(stream.begin(), stream.end(), std::mt19937(7));
+
+  Collector c;
+  for (const Done& d : stream) {
+    c.record_create(d.origin, d.id, Priority::kNetworkLayer, 1, 0);
+    c.record_ok(make_ok(d.origin, d.id, 0, 1), Priority::kNetworkLayer,
+                sim::duration::seconds(d.total_s), std::nullopt);
+  }
+
+  std::sort(stream.begin(), stream.end(), [](const Done& a, const Done& b) {
+    if (a.total_s != b.total_s) return a.total_s > b.total_s;
+    if (a.origin != b.origin) return a.origin < b.origin;
+    return a.id < b.id;
+  });
+  const auto& slowest = c.slowest_requests();
+  ASSERT_EQ(slowest.size(), Collector::kSlowestCapacity);
+  for (std::size_t i = 0; i < slowest.size(); ++i) {
+    EXPECT_EQ(slowest[i].origin, stream[i].origin) << i;
+    EXPECT_EQ(slowest[i].id, stream[i].id) << i;
+    EXPECT_DOUBLE_EQ(slowest[i].total_s, stream[i].total_s) << i;
+  }
 }
 
 }  // namespace

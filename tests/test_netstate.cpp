@@ -1,12 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "metrics/collector.hpp"
 #include "metrics/edge_stats.hpp"
-#include "metrics/spacesaving.hpp"
 #include "netlayer/swap_service.hpp"
 #include "netlayer/topology.hpp"
 #include "obs/netstate.hpp"
@@ -15,10 +16,10 @@
 #include "routing/router.hpp"
 
 /// Network-state observability (ISSUE 8): the per-edge accounting
-/// substrate (metrics::EdgeStats + the Space-Saving sketch), the
+/// substrate (metrics::EdgeStats and its exact hot-edge ranking), the
 /// obs::NetState sampler, and the run-report renderer. Load-bearing
-/// guarantees: sketch exactness under capacity and deterministic
-/// merge, union lease coverage (utilization <= 1 by construction),
+/// guarantees: a ranking equal to a brute-force sort, before and after
+/// a shard merge, union lease coverage (utilization <= 1 by construction),
 /// byte-identical JSONL per seed on both backends, and *zero*
 /// trajectory perturbation from attaching the accounting hooks.
 
@@ -26,7 +27,6 @@ namespace qlink::obs {
 namespace {
 
 using metrics::EdgeStats;
-using metrics::SpaceSaving;
 using netlayer::E2eOk;
 using netlayer::E2eRequest;
 using netlayer::NetworkConfig;
@@ -40,100 +40,6 @@ std::size_t count_of(const std::string& haystack, const std::string& needle) {
     ++n;
   }
   return n;
-}
-
-// ---------------------------------------------------------------------------
-// Space-Saving sketch.
-
-TEST(SpaceSaving, ExactWhileDistinctKeysFitCapacity) {
-  SpaceSaving s(4);
-  s.add(7, 3);
-  s.add(2, 1);
-  s.add(7, 2);
-  s.add(9, 1);
-  EXPECT_TRUE(s.exact());
-  EXPECT_EQ(s.evictions(), 0u);
-  EXPECT_EQ(s.total_weight(), 7u);
-  const auto top = s.top(8);
-  ASSERT_EQ(top.size(), 3u);
-  EXPECT_EQ(top[0].key, 7u);
-  EXPECT_EQ(top[0].count, 5u);
-  EXPECT_EQ(top[0].error, 0u);
-  EXPECT_EQ(s.count_bound(7), 5u);
-  // Ties rank by key ascending: 2 and 9 both have count 1.
-  EXPECT_EQ(top[1].key, 2u);
-  EXPECT_EQ(top[2].key, 9u);
-}
-
-TEST(SpaceSaving, EvictionInheritsTheMinimumCountAsErrorBound) {
-  SpaceSaving s(2);
-  s.add(1);
-  s.add(2);
-  s.add(3);  // evicts the min-count tie's smallest key: 1
-  EXPECT_FALSE(s.exact());
-  EXPECT_EQ(s.evictions(), 1u);
-  const auto top = s.top(2);
-  ASSERT_EQ(top.size(), 2u);
-  EXPECT_EQ(top[0].key, 3u);
-  EXPECT_EQ(top[0].count, 2u);  // inherited 1 + its own 1
-  EXPECT_EQ(top[0].error, 1u);  // true count of 3 is in [1, 2]
-  EXPECT_EQ(top[1].key, 2u);
-  EXPECT_EQ(top[1].error, 0u);
-  // Untracked keys are bounded by the sketch minimum.
-  EXPECT_EQ(s.count_bound(1), 1u);
-  EXPECT_EQ(s.total_weight(), 3u);
-}
-
-TEST(SpaceSaving, MergeOfShardsUnderCapacityEqualsTheSingleRun) {
-  SpaceSaving whole(8), a(8), b(8);
-  for (SpaceSaving* s : {&whole, &a}) {
-    s->add(1, 4);
-    s->add(2, 2);
-  }
-  for (SpaceSaving* s : {&whole, &b}) {
-    s->add(2, 3);
-    s->add(5, 1);
-  }
-  a.merge(b);
-  EXPECT_TRUE(a.exact());
-  EXPECT_EQ(a.total_weight(), whole.total_weight());
-  const auto merged = a.top(8);
-  const auto single = whole.top(8);
-  ASSERT_EQ(merged.size(), single.size());
-  for (std::size_t i = 0; i < merged.size(); ++i) {
-    EXPECT_EQ(merged[i].key, single[i].key);
-    EXPECT_EQ(merged[i].count, single[i].count);
-    EXPECT_EQ(merged[i].error, single[i].error);
-  }
-  // Merge is deterministic: the other order yields the same ranking.
-  SpaceSaving a2(8), b2(8);
-  a2.add(1, 4);
-  a2.add(2, 2);
-  b2.add(2, 3);
-  b2.add(5, 1);
-  b2.merge(a2);
-  const auto other_order = b2.top(8);
-  ASSERT_EQ(other_order.size(), single.size());
-  for (std::size_t i = 0; i < other_order.size(); ++i) {
-    EXPECT_EQ(other_order[i].key, single[i].key);
-    EXPECT_EQ(other_order[i].count, single[i].count);
-  }
-}
-
-TEST(SpaceSaving, MergeTruncatesBackToCapacityDeterministically) {
-  SpaceSaving a(2), b(2);
-  a.add(1, 5);
-  a.add(2, 1);
-  b.add(3, 4);
-  b.add(4, 2);
-  a.merge(b);
-  EXPECT_EQ(a.size(), 2u);
-  const auto top = a.top(2);
-  ASSERT_EQ(top.size(), 2u);
-  EXPECT_EQ(top[0].key, 1u);  // count 5
-  EXPECT_EQ(top[1].key, 3u);  // count 4
-  EXPECT_EQ(a.total_weight(), 12u);
-  EXPECT_FALSE(a.exact());  // truncation dropped tracked keys
 }
 
 // ---------------------------------------------------------------------------
@@ -198,7 +104,7 @@ TEST(EdgeStats, ContentionAndDeliveryCounters) {
   EXPECT_EQ(es.node(2).terminals, 1u);
 }
 
-TEST(EdgeStats, MergeSumsCountersCoverageAndSketch) {
+TEST(EdgeStats, MergeSumsCountersAndCoverage) {
   EdgeStats a(2, 2), b(2, 2);
   a.on_lease(0, 1, 0, sim::duration::seconds(2));
   b.on_lease(0, 2, sim::duration::seconds(5), sim::duration::seconds(6));
@@ -221,8 +127,71 @@ TEST(EdgeStats, MergeSumsCountersCoverageAndSketch) {
   EXPECT_EQ(a.node(1).swaps, 1u);
   // Folded busy seconds add: 2 s + 1 s of disjoint sim-time coverage.
   EXPECT_DOUBLE_EQ(a.busy_seconds(0, sim::duration::seconds(6)), 3.0);
-  EXPECT_TRUE(a.hot_edges().exact());
-  EXPECT_EQ(a.hot_edges().total_weight(), 7u);  // 2 leases + 5 pairs
+}
+
+// ---------------------------------------------------------------------------
+// Hot-edge ranking: exact at any edge count, and merge-invariant.
+
+/// A deterministic activity feed spread over `edges` edges, with tied
+/// counts.
+void feed_activity(EdgeStats& es, std::size_t edges, std::size_t first,
+                   std::size_t last) {
+  for (std::size_t i = first; i < last; ++i) {
+    const std::size_t e = (i * 37) % edges;
+    es.on_lease(e, i, 0, sim::duration::seconds(1));
+    const std::size_t footprint[] = {(i * 11) % edges};
+    es.on_blocked(footprint);
+    es.on_attempt((i * 5) % edges, i % 4);
+  }
+}
+
+std::vector<EdgeStats::HotEdge> brute_force_ranking(const EdgeStats& es) {
+  std::vector<EdgeStats::HotEdge> all;
+  for (std::size_t e = 0; e < es.num_edges(); ++e) {
+    const auto& c = es.edge(e);
+    if (c.leases + c.blocked + c.attempts > 0) {
+      all.push_back({e, c.leases + c.blocked + c.attempts});
+    }
+  }
+  std::sort(all.begin(), all.end(), [](const auto& a, const auto& b) {
+    return a.count != b.count ? a.count > b.count : a.edge < b.edge;
+  });
+  return all;
+}
+
+void expect_ranking(const std::vector<EdgeStats::HotEdge>& got,
+                    const std::vector<EdgeStats::HotEdge>& want,
+                    std::size_t k) {
+  ASSERT_EQ(got.size(), std::min(k, want.size()));
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].edge, want[i].edge) << "rank " << i;
+    EXPECT_EQ(got[i].count, want[i].count) << "rank " << i;
+  }
+}
+
+TEST(EdgeStats, HotEdgesEqualABruteForceSortPastSixtyFourEdges) {
+  constexpr std::size_t kEdges = 200;
+  EdgeStats es(kEdges, 2);
+  feed_activity(es, kEdges, 0, 3000);
+  const auto want = brute_force_ranking(es);
+  ASSERT_GT(want.size(), 64u);
+  for (const std::size_t k : {std::size_t{1}, std::size_t{8},
+                              std::size_t{64}, std::size_t{1000}}) {
+    expect_ranking(es.hot_edges(k), want, k);
+  }
+  EXPECT_TRUE(EdgeStats(kEdges, 2).hot_edges(8).empty());
+}
+
+TEST(EdgeStats, MergedShardsRankLikeTheSingleRun) {
+  constexpr std::size_t kEdges = 200;
+  EdgeStats whole(kEdges, 2), a(kEdges, 2), b(kEdges, 2);
+  feed_activity(whole, kEdges, 0, 3000);
+  feed_activity(a, kEdges, 0, 1300);
+  feed_activity(b, kEdges, 1300, 3000);
+  a.merge(b);
+  const auto want = brute_force_ranking(whole);
+  expect_ranking(a.hot_edges(kEdges), want, kEdges);
+  expect_ranking(whole.hot_edges(kEdges), want, kEdges);
 }
 
 // ---------------------------------------------------------------------------
@@ -358,16 +327,14 @@ TEST(NetStateRun, StreamHoldsTheCheckerInvariants) {
   EXPECT_EQ(count_of(jsonl, "\"final\":true"), 1u);
   EXPECT_EQ(count_of(jsonl, "\"run\":\"test\""),
             w.netstate->intervals() + 1);
-  // The final record carries the per-edge table, totals, and sketch.
+  // The final record carries the per-edge table, ranking and totals.
   EXPECT_NE(jsonl.find("\"edges\":["), std::string::npos);
+  EXPECT_NE(jsonl.find("\"hot_edges\":[{\"edge\":"), std::string::npos);
   EXPECT_NE(jsonl.find("\"totals\":{"), std::string::npos);
-  EXPECT_NE(jsonl.find("\"sketch\":{"), std::string::npos);
   EXPECT_NE(jsonl.find("\"collector\":{"), std::string::npos);
   // Utilization is a coverage fraction: bounded by 1.
   EXPECT_GT(w.netstate->max_utilization(), 0.0);
   EXPECT_LE(w.netstate->max_utilization(), 1.0);
-  // 7 edges fit the default sketch capacity: the ranking is exact.
-  EXPECT_TRUE(w.edge_stats->hot_edges().exact());
   // finish() is idempotent and poll() after it is a no-op.
   w.netstate->finish();
   w.netstate->poll();
@@ -379,7 +346,7 @@ TEST(NetStateRun, TotalsReconcileWithTheCollector) {
                  /*sampled=*/true);
   w.run_request();
   // Request-level counters agree between the per-edge substrate and
-  // the Collector (netstate_check.py verifies the same from JSONL).
+  // the Collector (interval_check.py verifies the same from JSONL).
   EXPECT_EQ(w.edge_stats->deliveries(),
             w.collector.total_pairs_delivered());
   EXPECT_EQ(w.edge_stats->blocked_requests(),
