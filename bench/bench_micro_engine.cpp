@@ -1,6 +1,7 @@
 // Micro-benchmarks of the substrate hot paths: event scheduling (bare,
 // labeled, telemetered, scheduled-then-cancelled), the periodic timer, density-matrix operations,
-// the herald model, and a full protocol cycle. These bound the
+// the herald model, a full protocol cycle, and the router's Yen path
+// search over one dragonfly island. These bound the
 // simulation throughput reported in EXPERIMENTS.md.
 //
 // Self-timed (no external benchmark library): each case runs batches of
@@ -17,6 +18,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
+#include <numeric>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -26,6 +29,8 @@
 #include "quantum/bell.hpp"
 #include "quantum/channels.hpp"
 #include "quantum/registry.hpp"
+#include "routing/graph.hpp"
+#include "routing/path_selector.hpp"
 #include "sim/simulator.hpp"
 
 using namespace qlink;
@@ -212,6 +217,36 @@ Row bench_protocol_millisecond(const Options& opt) {
   return row;
 }
 
+Row bench_k_shortest_island(const Options& opt) {
+  // The path search a sharded island router runs per request with the
+  // path cache off: Yen, k = 4, hop costs, over island 0 of
+  // dragonfly(32 x 32) (8 all-to-all groups of 32 routers: 256 nodes,
+  // 3,996 edges). One op is one k_shortest call on a fixed seeded
+  // endpoint list.
+  std::vector<std::uint32_t> nodes(256);
+  std::iota(nodes.begin(), nodes.end(), 0u);
+  const routing::Graph island =
+      routing::Graph::dragonfly(32, 32).induced(nodes);
+  const routing::PathSelector sel(island, routing::CostModel::kHopCount);
+  std::mt19937_64 rng(opt.seed);
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> pairs;
+  while (pairs.size() < 64) {
+    const auto a = static_cast<std::uint32_t>(rng() % nodes.size());
+    const auto b = static_cast<std::uint32_t>(rng() % nodes.size());
+    if (a != b) pairs.emplace_back(a, b);
+  }
+  std::size_t sink = 0;
+  Row row = time_case("k_shortest_dragonfly_island", opt.min_seconds,
+                      pairs.size(), [&](std::uint64_t n) {
+                        for (std::uint64_t i = 0; i < n; ++i) {
+                          const auto& [src, dst] = pairs[i % pairs.size()];
+                          sink += sel.k_shortest(src, dst, 4).size();
+                        }
+                      });
+  if (sink == 0) std::printf("%zu\n", sink);
+  return row;
+}
+
 void print_row(const Row& r) {
   std::printf("%-32s %12llu %9.3f %14.0f\n", r.scenario,
               static_cast<unsigned long long>(r.ops), r.wall_seconds,
@@ -275,6 +310,8 @@ int main(int argc, char** argv) {
   rows.push_back(bench_herald_cached(opt));
   print_row(rows.back());
   rows.push_back(bench_protocol_millisecond(opt));
+  print_row(rows.back());
+  rows.push_back(bench_k_shortest_island(opt));
   print_row(rows.back());
 
   if (opt.json_path != "-") {

@@ -27,6 +27,10 @@
 ///    (Hops generate in parallel, so the sum is a pessimistic proxy for
 ///    the wait on the slowest hop; it still orders candidates sensibly
 ///    because every summand also bounds that maximum.)
+///
+/// Calls keep no state between them (each builds its own search
+/// workspace), so concurrent const calls on one selector are safe as
+/// long as nobody edits the graph meanwhile.
 
 namespace qlink::routing {
 
@@ -87,12 +91,6 @@ class PathSelector {
   static double estimated_latency_s(const Graph& graph, const Path& path);
 
  private:
-  std::optional<Path> dijkstra(std::uint32_t src, std::uint32_t dst,
-                               const std::vector<bool>& banned_nodes,
-                               const std::vector<bool>& banned_edges) const;
-  std::vector<Path> yen(std::uint32_t src, std::uint32_t dst, std::size_t k,
-                        const std::vector<bool>& excluded) const;
-
   const Graph& graph_;
   CostModel model_;
 };

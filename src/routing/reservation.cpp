@@ -8,7 +8,9 @@
 namespace qlink::routing {
 
 ReservationTable::ReservationTable(const Graph& graph)
-    : leases_(graph.num_edges()) {
+    : leases_(graph.num_edges()),
+      blocked_on_(graph.num_edges(), 0),
+      held_mark_(graph.num_edges(), 0) {
   capacity_.reserve(graph.num_edges());
   for (std::size_t i = 0; i < graph.num_edges(); ++i) {
     capacity_.push_back(graph.params(i).capacity);
@@ -65,14 +67,12 @@ void ReservationTable::validate(std::span<const std::size_t> edges,
 
 bool ReservationTable::conflicts_blocked(
     std::span<const std::size_t> edges) const {
-  for (const Blocked& b : blocked_) {
-    for (const std::size_t e : b.footprint) {
-      if (std::find(edges.begin(), edges.end(), e) != edges.end()) {
-        return true;
-      }
-    }
-  }
-  return false;
+  return std::any_of(edges.begin(), edges.end(),
+                     [this](std::size_t e) { return blocked_on_[e] > 0; });
+}
+
+void ReservationTable::unqueue_footprint(const Blocked& entry) {
+  for (const std::size_t e : entry.footprint) --blocked_on_[e];
 }
 
 std::optional<ReservationTable::Ticket> ReservationTable::reserve_window(
@@ -189,20 +189,15 @@ std::optional<sim::SimTime> ReservationTable::next_expiry() const {
   return *finite_ends_.begin();
 }
 
-std::optional<sim::SimTime> ReservationTable::next_expiry_scan() const {
-  std::optional<sim::SimTime> next;
-  for (const std::vector<Lease>& held : leases_) {
-    for (const Lease& lease : held) {
-      if (lease.end == kNoExpiry) continue;
-      if (!next || lease.end < *next) next = lease.end;
-    }
-  }
-  return next;
-}
-
 void ReservationTable::enqueue_blocked(RetryFn retry,
                                        std::vector<std::size_t> footprint) {
+  for (const std::size_t e : footprint) {
+    if (e >= capacity_.size()) {
+      throw std::invalid_argument("ReservationTable: unknown footprint edge");
+    }
+  }
   if (edge_stats_ != nullptr) edge_stats_->on_blocked(footprint);
+  for (const std::size_t e : footprint) ++blocked_on_[e];
   blocked_.push_back({std::move(retry), std::move(footprint)});
 }
 
@@ -224,18 +219,18 @@ void ReservationTable::drain_blocked() {
     round.swap(blocked_);
     std::deque<Blocked> still;
     // Edges that still-blocked earlier entries of this sweep are
-    // waiting for; a later entry touching one of them either gets
-    // withheld (kPerEdgeFifo) or counted as a queue jump (kGreedy).
-    std::vector<std::size_t> held_edges;
+    // waiting for (held_mark_ == sweep); a later entry touching one of
+    // them either gets withheld (kPerEdgeFifo) or counted as a queue
+    // jump (kGreedy).
+    const std::uint64_t sweep = ++sweep_;
     bool earlier_blocked = false;
-    const auto conflicts_held = [&held_edges](const Blocked& b) {
-      for (const std::size_t e : b.footprint) {
-        if (std::find(held_edges.begin(), held_edges.end(), e) !=
-            held_edges.end()) {
-          return true;
-        }
-      }
-      return false;
+    const auto conflicts_held = [this, sweep](const Blocked& b) {
+      return std::any_of(
+          b.footprint.begin(), b.footprint.end(),
+          [this, sweep](std::size_t e) { return held_mark_[e] == sweep; });
+    };
+    const auto hold = [this, sweep](const Blocked& b) {
+      for (const std::size_t e : b.footprint) held_mark_[e] = sweep;
     };
     while (!round.empty()) {
       Blocked entry = std::move(round.front());
@@ -246,8 +241,7 @@ void ReservationTable::drain_blocked() {
         // one back so FIFO survives per conflicting edge set.
         ++hol_holds_;
         earlier_blocked = true;
-        held_edges.insert(held_edges.end(), entry.footprint.begin(),
-                          entry.footprint.end());
+        hold(entry);
         still.push_back(std::move(entry));
         continue;
       }
@@ -259,6 +253,7 @@ void ReservationTable::drain_blocked() {
         // (minus the poisoned retry — it would only throw again) in
         // arrival order and clear the drain flag, or every later
         // release() would skip its sweep forever.
+        unqueue_footprint(entry);
         for (Blocked& r : round) still.push_back(std::move(r));
         for (Blocked& r : blocked_) still.push_back(std::move(r));
         blocked_ = std::move(still);
@@ -267,12 +262,12 @@ void ReservationTable::drain_blocked() {
         throw;
       }
       if (left) {
+        unqueue_footprint(entry);
         if (conflict) ++steals_;  // kGreedy: jumped a blocked elder
         if (earlier_blocked) ++batch_admits_;
       } else {
         earlier_blocked = true;
-        held_edges.insert(held_edges.end(), entry.footprint.begin(),
-                          entry.footprint.end());
+        hold(entry);
         still.push_back(std::move(entry));
       }
     }

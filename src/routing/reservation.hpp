@@ -139,7 +139,8 @@ class ReservationTable {
   /// `footprint` (optional) declares the edges the request is waiting
   /// for (its preferred candidate path); the batch drain uses it for
   /// per-edge FIFO conflict ordering and steal accounting. An empty
-  /// footprint opts out of both.
+  /// footprint opts out of both; unknown edge ids throw
+  /// std::invalid_argument.
   void enqueue_blocked(RetryFn retry, std::vector<std::size_t> footprint = {});
 
   /// Drop every lease whose window ended at or before `now` and, when
@@ -152,10 +153,6 @@ class ReservationTable {
   /// expiry index kept alongside the leases (ISSUE 5 — the previous
   /// implementation scanned every lease on every Router wakeup).
   std::optional<sim::SimTime> next_expiry() const;
-
-  /// The O(total leases) scan next_expiry used to be. Test support: the
-  /// lease tests assert it always agrees with the indexed next_expiry.
-  std::optional<sim::SimTime> next_expiry_scan() const;
 
   std::size_t capacity(std::size_t edge) const {
     return capacity_.at(edge);
@@ -212,6 +209,8 @@ class ReservationTable {
                                        bool count_steal);
   /// Whether any queued blocked entry's footprint intersects `edges`.
   bool conflicts_blocked(std::span<const std::size_t> edges) const;
+  /// Drop a leaving entry's footprint from blocked_on_.
+  void unqueue_footprint(const Blocked& entry);
   void drain_blocked();
 
   std::vector<std::size_t> capacity_;
@@ -219,6 +218,14 @@ class ReservationTable {
   std::vector<std::vector<Lease>> leases_;
   std::map<Ticket, std::vector<std::size_t>> active_;
   std::deque<Blocked> blocked_;
+  /// Per edge: how many queued footprints (including entries a running
+  /// sweep has taken out for retry) list it, so the out-of-queue steal
+  /// check is O(path) instead of a scan of the whole queue.
+  std::vector<std::size_t> blocked_on_;
+  /// Per edge: the drain sweep in which a still-blocked entry last
+  /// declared it (see drain_blocked); a fresh sweep number clears all.
+  std::vector<std::uint64_t> held_mark_;
+  std::uint64_t sweep_ = 0;
   /// Min-ordered index of every finite lease end on the books (one
   /// entry per edge lease, mirroring leases_), so next_expiry is the
   /// tree minimum instead of a full scan; inserts and erases are

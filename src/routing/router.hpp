@@ -109,7 +109,10 @@ struct RouterConfig {
   /// skip recomputation. Off by default: callers that mutate
   /// graph().params() directly between submissions (tests do) would
   /// otherwise route on stale costs. Streaming workloads over big
-  /// topologies (bench_workload_scale) switch it on.
+  /// topologies (bench_workload_scale) switch it on. Path search is
+  /// cheap now (a threshold-pruned Yen over a reused workspace, see
+  /// PathSelector), but the cache still pays where endpoints repeat:
+  /// on a bounded endpoint pool a hit skips the whole search.
   bool cache_paths = false;
 };
 

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <optional>
+#include <random>
 #include <stdexcept>
 #include <vector>
 
@@ -247,31 +250,32 @@ TEST(ReservationTable, TimeSlicedLeasesAdmitDisjointWindows) {
   const Graph chain = Graph::chain(3);
   ReservationTable table(chain);
   const std::vector<std::size_t> path{0, 1};
+  using Ends = std::optional<sim::SimTime>;
 
   // A lease for [0, 100): the edges are busy inside the window ...
   const auto first = table.try_reserve(path, /*now=*/0, /*duration=*/100);
   ASSERT_TRUE(first.has_value());
   EXPECT_FALSE(table.can_reserve(path, 50));
   EXPECT_FALSE(table.try_reserve(path, 99, 100).has_value());
-  EXPECT_EQ(table.next_expiry(), table.next_expiry_scan());
+  EXPECT_EQ(table.next_expiry(), Ends(100));
   // ... and free at its end even though the holder has not released:
   // a second request sharing the edges at a disjoint time admits.
   EXPECT_TRUE(table.can_reserve(path, 100));
   const auto second = table.try_reserve(path, /*now=*/100, /*duration=*/50);
   ASSERT_TRUE(second.has_value());
   EXPECT_EQ(table.active(), 2u);  // both tickets still held
-  EXPECT_EQ(table.next_expiry(), table.next_expiry_scan());
+  EXPECT_EQ(table.next_expiry(), Ends(100));
 
   // Overrunning holders still release cleanly (their lapsed lease
   // entries are simply gone), and nothing double-frees.
   EXPECT_EQ(table.expire_until(120), 2u);  // first's two edge leases
   EXPECT_EQ(table.lease_expiries(), 2u);
-  EXPECT_EQ(table.next_expiry(), table.next_expiry_scan());
+  EXPECT_EQ(table.next_expiry(), Ends(150));  // second's window end
   table.release(*first);
+  EXPECT_EQ(table.next_expiry(), Ends(150));
   table.release(*second);
   EXPECT_EQ(table.active(), 0u);
   EXPECT_EQ(table.in_use(0), 0u);
-  EXPECT_EQ(table.next_expiry(), table.next_expiry_scan());
   EXPECT_FALSE(table.next_expiry().has_value());
   EXPECT_THROW(table.try_reserve(path, 0, 0), std::invalid_argument);
 }
@@ -281,16 +285,16 @@ TEST(ReservationTable, FutureWindowBookingsBlockOverlappingAdmissions) {
   ReservationTable table(chain);
   const std::vector<std::size_t> path{0, 1};
   const std::vector<std::size_t> edge0{0};
+  using Ends = std::optional<sim::SimTime>;
 
   const auto held = table.try_reserve(path, /*now=*/0, /*duration=*/100);
   ASSERT_TRUE(held.has_value());
   // The earliest whole-window slot behind a [0, 100) lease is its end.
-  EXPECT_EQ(table.earliest_window(path, 0, 50),
-            std::optional<sim::SimTime>(100));
+  EXPECT_EQ(table.earliest_window(path, 0, 50), Ends(100));
   const auto booked = table.reserve_at(path, 100, 50);
   ASSERT_TRUE(booked.has_value());
   EXPECT_EQ(table.in_use(0), 2u);
-  EXPECT_EQ(table.next_expiry(), table.next_expiry_scan());
+  EXPECT_EQ(table.next_expiry(), Ends(100));
 
   // An instant admission whose window overlaps the booking is refused;
   // one fitting the gap after it admits.
@@ -298,24 +302,24 @@ TEST(ReservationTable, FutureWindowBookingsBlockOverlappingAdmissions) {
   EXPECT_FALSE(table.can_reserve(edge0, 120, 50));
   EXPECT_TRUE(table.can_reserve(edge0, 150, 50));
   // The next free whole-window slot is behind the booking...
-  EXPECT_EQ(table.earliest_window(edge0, 0, 50),
-            std::optional<sim::SimTime>(150));
+  EXPECT_EQ(table.earliest_window(edge0, 0, 50), Ends(150));
   // ...but a shorter window still fits the gap in front of nothing: a
   // booking starting at the lease end leaves no gap on this edge, so
   // the earliest 1-tick slot after `now`=100 is also 150.
-  EXPECT_EQ(table.earliest_window(edge0, 100, 1),
-            std::optional<sim::SimTime>(150));
+  EXPECT_EQ(table.earliest_window(edge0, 100, 1), Ends(150));
 
-  // Unbounded pins never free a window.
+  // Unbounded pins never free a window, and never expire.
   const auto pin = table.try_reserve(edge0, 150);
   ASSERT_TRUE(pin.has_value());
   EXPECT_FALSE(table.earliest_window(edge0, 150, 10).has_value());
-  EXPECT_EQ(table.next_expiry(), table.next_expiry_scan());
+  EXPECT_EQ(table.next_expiry(), Ends(100));
 
   table.release(*held);
+  EXPECT_EQ(table.next_expiry(), Ends(150));  // the booking's end
   table.release(*booked);
+  EXPECT_FALSE(table.next_expiry().has_value());  // only the pin left
   table.release(*pin);
-  EXPECT_EQ(table.next_expiry(), table.next_expiry_scan());
+  EXPECT_FALSE(table.next_expiry().has_value());
   EXPECT_THROW(table.reserve_at(path, -1, 10), std::invalid_argument);
 }
 
@@ -407,6 +411,10 @@ TEST(ReservationTable, FreshReservationOverBlockedFootprintCountsSteal) {
   ASSERT_TRUE(hold1.has_value());
   table.enqueue_blocked([] { return false; },
                         std::vector<std::size_t>{0, 1});
+  EXPECT_THROW(table.enqueue_blocked([] { return false; },
+                                     std::vector<std::size_t>{2, 99}),
+               std::invalid_argument);
+  EXPECT_EQ(table.blocked(), 1u);
   // A fresh out-of-queue admission touching the blocked footprint is a
   // queue jump; a disjoint one is not.
   const auto jump = table.try_reserve(std::vector<std::size_t>{0});
@@ -531,6 +539,123 @@ TEST(ReservationTable, BlockedRequestsRetryOnRelease) {
   table.release(got);
   EXPECT_EQ(admitted, (std::vector<int>{1, 2}));
   EXPECT_EQ(table.blocked(), 0u);
+}
+
+/// Admission order and drain counters of a seeded 240-entry blocked
+/// queue on a 5x5 grid, driven by releases, lease expiries, mid-run
+/// arrivals and out-of-queue reservations.
+struct DrainRun {
+  std::uint64_t order = 0xcbf29ce484222325ULL;  // FNV-1a of admitted ids
+  std::size_t admitted = 0;
+  std::size_t still_blocked = 0;
+  std::uint64_t steals = 0;
+  std::uint64_t hol_holds = 0;
+  std::uint64_t batch_admits = 0;
+};
+
+DrainRun run_seeded_drain(DrainPolicy policy) {
+  const Graph grid = Graph::grid(5, 5);  // 40 edges
+  ReservationTable table(grid);
+  table.set_drain_policy(policy);
+  std::mt19937_64 rng(424242);
+  const auto pick = [&rng](std::uint64_t n) { return rng() % n; };
+  const auto footprint = [&] {
+    std::vector<std::size_t> edges;
+    const std::size_t len = 1 + pick(4);
+    while (edges.size() < len) {
+      const std::size_t e = pick(grid.num_edges());
+      if (std::find(edges.begin(), edges.end(), e) == edges.end()) {
+        edges.push_back(e);
+      }
+    }
+    return edges;
+  };
+
+  DrainRun run;
+  sim::SimTime now = 0;
+  std::vector<ReservationTable::Ticket> held;
+  // Every edge starts leased for a seeded window; a few are pinned.
+  for (std::size_t e = 0; e < grid.num_edges(); ++e) {
+    const std::vector<std::size_t> one{e};
+    const auto t = e % 13 == 0
+                       ? table.try_reserve(one, 0)
+                       : table.try_reserve(one, 0, 20 + pick(200));
+    held.push_back(*t);
+  }
+  int next_id = 0;
+  const auto enqueue = [&] {
+    const int id = next_id++;
+    std::vector<std::size_t> edges = footprint();
+    const sim::SimTime duration = 5 + pick(60);
+    // Every seventh entry declares no footprint (opts out of ordering).
+    std::vector<std::size_t> declared =
+        id % 7 == 0 ? std::vector<std::size_t>{} : edges;
+    table.enqueue_blocked(
+        [&table, &now, &held, &run, edges, duration, id] {
+          const auto t = table.try_reserve(edges, now, duration);
+          if (!t) return false;
+          held.push_back(*t);
+          ++run.admitted;
+          for (int i = 0; i < 4; ++i) {
+            run.order ^= (static_cast<std::uint64_t>(id) >> (8 * i)) & 0xffU;
+            run.order *= 0x100000001b3ULL;
+          }
+          return true;
+        },
+        std::move(declared));
+  };
+  for (int i = 0; i < 200; ++i) enqueue();
+
+  for (int step = 0; step < 400; ++step) {
+    now += 1 + static_cast<sim::SimTime>(pick(8));
+    switch (pick(4)) {
+      case 0:
+        if (!held.empty()) {
+          const std::size_t i = pick(held.size());
+          const ReservationTable::Ticket t = held[i];
+          held.erase(held.begin() + static_cast<std::ptrdiff_t>(i));
+          table.release(t, now);
+        }
+        break;
+      case 1:
+        if (next_id < 240) enqueue();
+        break;
+      case 2: {
+        const auto t = table.try_reserve(footprint(), now, 5 + pick(30));
+        if (t) held.push_back(*t);
+        break;
+      }
+      default:
+        table.expire_until(now);
+        break;
+    }
+  }
+  run.still_blocked = table.blocked();
+  run.steals = table.steals();
+  run.hol_holds = table.hol_holds();
+  run.batch_admits = table.batch_admits();
+  return run;
+}
+
+TEST(ReservationTable, SeededDrainCountersArePinnedForBothPolicies) {
+  // Captured from the linear-scan drain; any faster bookkeeping must
+  // admit the same requests in the same order and count the same
+  // steals, holds and batch admissions.
+  const DrainRun greedy = run_seeded_drain(DrainPolicy::kGreedy);
+  EXPECT_EQ(greedy.order, 0xb814f525d2715a9cULL);
+  EXPECT_EQ(greedy.admitted, 191u);
+  EXPECT_EQ(greedy.still_blocked, 49u);
+  EXPECT_EQ(greedy.steals, 195u);
+  EXPECT_EQ(greedy.hol_holds, 0u);
+  EXPECT_EQ(greedy.batch_admits, 189u);
+
+  const DrainRun fifo = run_seeded_drain(DrainPolicy::kPerEdgeFifo);
+  EXPECT_EQ(fifo.order, 0x7011a10c36e67040ULL);
+  EXPECT_EQ(fifo.admitted, 40u);
+  EXPECT_EQ(fifo.still_blocked, 200u);
+  EXPECT_EQ(fifo.steals, 76u);
+  EXPECT_EQ(fifo.hol_holds, 29618u);
+  EXPECT_EQ(fifo.batch_admits, 37u);
 }
 
 }  // namespace
