@@ -132,7 +132,7 @@ Row run_mode(const Options& opt, const char* mode, std::size_t reroutes) {
   rc.k_candidates = 4;
   rc.max_reroutes = reroutes;
   rc.lease_slack = opt.lease_slack;
-  routing::Router router(grid, *net, *swap, rc, &collector);
+  routing::Router router(grid, *swap, rc, &collector);
   const double menu[] = {0.7};
   router.annotate_from_network(menu);
 

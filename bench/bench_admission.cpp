@@ -10,20 +10,20 @@
 // windows have opened. On the first corridor a long "newcomer"
 // arrives between the two lease ends, wanting edge a only.
 //
-//  pr4    defer_admission = batch_admission = false: the waiter parks
-//         blind in the blocked queue. When edge a's lease lapses the
-//         waiter still cannot start (b is busy), so a sits free until
-//         the newcomer snatches it for a long window — a queue jump
-//         ("steal") that pushes the waiter's admission past the
-//         newcomer's whole lease, while edge b sits idle: the
-//         coordination loss of blind queueing.
-//  sched  defer_admission = batch_admission = true: the waiter books
-//         the earliest window in which a AND b are both free
-//         (ReservationTable::earliest_window) the moment it fails to
-//         admit. The newcomer's instant window would overlap that
-//         booking, so it defers behind it instead of jumping the
-//         queue. The waiter starts exactly when b frees; nobody
-//         queues blind (steals = 0).
+//  pr4    defer_admission = false: the waiter parks blind in the
+//         blocked queue. When edge a's lease lapses the waiter still
+//         cannot start (b is busy), so a sits free until the newcomer
+//         snatches it for a long window — a queue jump ("steal") that
+//         pushes the waiter's admission past the newcomer's whole
+//         lease, while edge b sits idle: the coordination loss of
+//         blind queueing.
+//  sched  defer_admission = true (which also selects the per-edge-FIFO
+//         batch drain): the waiter books the earliest window in which
+//         a AND b are both free (ReservationTable::earliest_window)
+//         the moment it fails to admit. The newcomer's instant window
+//         would overlap that booking, so it defers behind it instead
+//         of jumping the queue. The waiter starts exactly when b
+//         frees; nobody queues blind (steals = 0).
 //
 // Corridors beyond the first see no newcomer: they behave identically
 // under both policies (their waiters admit at the same wakeup, batch
@@ -204,8 +204,7 @@ Row run_mode(const Options& opt, const char* scenario, const char* mode,
   rc.k_candidates = 1;  // corridors are pinned; keep admission exact
   rc.lease_slack = opt.lease_slack;
   rc.defer_admission = scheduler;
-  rc.batch_admission = scheduler;
-  routing::Router router(graph, *net, *swap, rc, &collector);
+  routing::Router router(graph, *swap, rc, &collector);
   metrics::EdgeStats edge_stats(graph.num_edges(), graph.num_nodes());
   router.set_edge_stats(&edge_stats);
   const double menu[] = {0.7};

@@ -156,8 +156,7 @@ struct World {
     routing::RouterConfig rc;
     rc.cost = cost;
     rc.k_candidates = 4;
-    router = std::make_unique<routing::Router>(graph, *net, *swap, rc,
-                                               &collector);
+    router = std::make_unique<routing::Router>(graph, *swap, rc, &collector);
     edge_stats = std::make_unique<metrics::EdgeStats>(graph.num_edges(),
                                                       graph.num_nodes());
     router->set_edge_stats(edge_stats.get());

@@ -297,8 +297,6 @@ void Collector::merge(const Collector& other) {
   queue_length_.merge(other.queue_length_);
   route_length_.merge(other.route_length_);
   admission_wait_s_.merge(other.admission_wait_s_);
-  deferred_wait_s_.merge(other.deferred_wait_s_);
-  sched_backlog_.merge(other.sched_backlog_);
   requests_blocked_ += other.requests_blocked_;
   reroutes_ += other.reroutes_;
   requests_abandoned_ += other.requests_abandoned_;

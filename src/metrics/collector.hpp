@@ -117,10 +117,10 @@ class Collector {
   void record_admission_wait(double seconds, std::uint32_t origin,
                              std::uint32_t id);
   /// A deferred-admission booking and its booked wait (the gap between
-  /// the deferral and the booked window start).
+  /// the deferral and the booked window start), into the kDeferral
+  /// phase histogram.
   void record_deferral(double booked_wait_s) {
     ++deferrals_;
-    deferred_wait_s_.add(booked_wait_s);
     phase_hists_[static_cast<std::size_t>(Phase::kDeferral)].record(
         booked_wait_s);
   }
@@ -135,13 +135,7 @@ class Collector {
   /// ... and a drain retry withheld to preserve per-edge FIFO (batch
   /// drain).
   void record_hol_hold() { ++hol_holds_; }
-  /// Scheduler backlog sample: blocked + deferred-pending requests.
-  void sample_sched_backlog(std::size_t n) {
-    sched_backlog_.add(static_cast<double>(n));
-  }
   const RunningStat& admission_wait() const { return admission_wait_s_; }
-  const RunningStat& deferred_wait() const { return deferred_wait_s_; }
-  const RunningStat& sched_backlog() const { return sched_backlog_; }
   std::uint64_t deferrals() const { return deferrals_; }
   std::uint64_t admission_steals() const { return admission_steals_; }
   std::uint64_t hol_holds() const { return hol_holds_; }
@@ -316,8 +310,6 @@ class Collector {
   RunningStat queue_length_;
   RunningStat route_length_;
   RunningStat admission_wait_s_;
-  RunningStat deferred_wait_s_;
-  RunningStat sched_backlog_;
   std::uint64_t requests_blocked_ = 0;
   std::uint64_t reroutes_ = 0;
   std::uint64_t requests_abandoned_ = 0;

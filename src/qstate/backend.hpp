@@ -18,8 +18,9 @@
 /// tracks two-qubit pairs as 4 Bell-diagonal coefficients with
 /// closed-form Pauli-noise decay and entanglement swapping, escalating
 /// to dense storage only when an operation leaves the structured
-/// manifold. Backends are selected per scenario through BackendRegistry
-/// (see backend_registry.hpp) and core::LinkConfig::backend.
+/// manifold. Backends are selected per scenario by
+/// core::LinkConfig::backend and built by make_backend (see
+/// backend_registry.hpp).
 
 namespace qlink::qstate {
 

@@ -17,53 +17,6 @@ const char* backend_kind_name(BackendKind kind) noexcept {
   return "?";
 }
 
-BackendRegistry::BackendRegistry() {
-  entries_.emplace_back("dense", [](sim::Random& r) {
-    return std::make_unique<DenseBackend>(r);
-  });
-  entries_.emplace_back("bell", [](sim::Random& r) {
-    return std::make_unique<BellDiagonalBackend>(r);
-  });
-  entries_.emplace_back("bell-diagonal", [](sim::Random& r) {
-    return std::make_unique<BellDiagonalBackend>(r);
-  });
-}
-
-BackendRegistry& BackendRegistry::instance() {
-  static BackendRegistry registry;
-  return registry;
-}
-
-void BackendRegistry::register_backend(std::string name, Factory factory) {
-  if (contains(name)) {
-    throw std::invalid_argument("BackendRegistry: duplicate backend name");
-  }
-  entries_.emplace_back(std::move(name), std::move(factory));
-}
-
-std::unique_ptr<StateBackend> BackendRegistry::make(
-    std::string_view name, sim::Random& random) const {
-  for (const auto& [entry_name, factory] : entries_) {
-    if (entry_name == name) return factory(random);
-  }
-  throw std::invalid_argument("BackendRegistry: unknown backend '" +
-                              std::string(name) + "'");
-}
-
-bool BackendRegistry::contains(std::string_view name) const {
-  for (const auto& [entry_name, factory] : entries_) {
-    if (entry_name == name) return true;
-  }
-  return false;
-}
-
-std::vector<std::string> BackendRegistry::names() const {
-  std::vector<std::string> out;
-  out.reserve(entries_.size());
-  for (const auto& [name, factory] : entries_) out.push_back(name);
-  return out;
-}
-
 std::unique_ptr<StateBackend> make_backend(BackendKind kind,
                                            sim::Random& random) {
   switch (kind) {

@@ -1,49 +1,20 @@
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <optional>
-#include <string>
 #include <string_view>
-#include <vector>
 
 #include "qstate/backend.hpp"
 
 /// \file backend_registry.hpp
-/// Name -> factory registry for quantum-state backends.
+/// Backend kind -> instance, and user-facing name -> kind.
 ///
-/// The built-in backends ("dense", "bell") are always registered;
-/// experiments can register additional ones (e.g. wrappers that record
-/// traces) without touching this subsystem. Scenario configs carry a
-/// BackendKind (core::LinkConfig::backend); benches and examples parse
-/// user-facing names through this registry so `--backend bell` means
-/// the same thing everywhere.
+/// Scenario configs carry a BackendKind (core::LinkConfig::backend);
+/// quantum::QuantumRegistry builds its backend with make_backend, and
+/// benches and examples parse user-facing names with parse_backend_kind
+/// so `--backend bell` means the same thing everywhere.
 
 namespace qlink::qstate {
-
-class BackendRegistry {
- public:
-  using Factory =
-      std::function<std::unique_ptr<StateBackend>(sim::Random&)>;
-
-  /// The process-wide registry (built-ins pre-registered).
-  static BackendRegistry& instance();
-
-  /// Register a backend under a unique name; throws on duplicates.
-  void register_backend(std::string name, Factory factory);
-
-  /// Instantiate by name; throws std::invalid_argument for unknown
-  /// names.
-  std::unique_ptr<StateBackend> make(std::string_view name,
-                                     sim::Random& random) const;
-
-  bool contains(std::string_view name) const;
-  std::vector<std::string> names() const;
-
- private:
-  BackendRegistry();
-  std::vector<std::pair<std::string, Factory>> entries_;
-};
 
 /// Instantiate a built-in backend kind.
 std::unique_ptr<StateBackend> make_backend(BackendKind kind,

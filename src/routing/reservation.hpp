@@ -83,7 +83,6 @@ class ReservationTable {
   explicit ReservationTable(const Graph& graph);
 
   void set_drain_policy(DrainPolicy policy) noexcept { policy_ = policy; }
-  DrainPolicy drain_policy() const noexcept { return policy_; }
 
   /// Attach a per-edge accounting substrate (null to detach). The table
   /// reports lease placements/releases and blocked-arrival footprints;

@@ -52,24 +52,13 @@ Router::Router(Graph graph, netlayer::EntanglementPlane& plane,
   if (config_.k_candidates == 0) {
     throw std::invalid_argument("Router: k_candidates must be positive");
   }
-  reservations_.set_drain_policy(config_.batch_admission
+  reservations_.set_drain_policy(config_.defer_admission
                                      ? DrainPolicy::kPerEdgeFifo
                                      : DrainPolicy::kGreedy);
   plane_.set_deliver_handler(
       [this](const netlayer::E2eOk& ok) { on_deliver(ok); });
   plane_.set_error_handler(
       [this](const netlayer::E2eErr& err) { on_error(err); });
-}
-
-Router::Router(Graph graph, netlayer::QuantumNetwork& network,
-               netlayer::SwapService& swap, const RouterConfig& config,
-               metrics::Collector* collector)
-    : Router(std::move(graph), static_cast<netlayer::EntanglementPlane&>(swap),
-             config, collector) {
-  if (swap.network() != &network) {
-    throw std::invalid_argument(
-        "Router: swap service was built over a different network");
-  }
 }
 
 void Router::set_edge_stats(metrics::EdgeStats* stats) noexcept {
@@ -194,42 +183,8 @@ std::uint32_t Router::try_admit(FlightState& flight) {
     const auto ticket = reservations_.try_reserve(
         path.edges, now, lease_duration(path, flight.request));
     if (!ticket) continue;
-    std::uint32_t id = 0;
-    try {
-      id = plane_.submit(flight.request, to_hops(path), hop_floors(path));
-    } catch (...) {
-      // A malformed pinned path (submit_on checks only the endpoints)
-      // must not leak its reservation and wedge the edges forever.
-      reservations_.release(*ticket, now);
-      throw;
-    }
     flight.ticket = *ticket;
-    ++stats_.admitted;
-    // Count the reroute only here, where the resubmission actually
-    // reached the SwapService (record_resubmit fired inside request),
-    // so Stats::rerouted and Collector::reroutes always agree.
-    if (flight.request.resubmission_of != 0) ++stats_.rerouted;
-    if (flight.request.resubmission_of == 0 &&
-        flight.request.submitted_at >= 0) {
-      // Admission wait covers submit -> first admission (0 for an
-      // instant admit, the queueing time for a drained one);
-      // resubmissions keep their original latency accounting instead.
-      const double wait_s =
-          sim::to_seconds(now - flight.request.submitted_at);
-      if (collector_) {
-        collector_->record_admission_wait(wait_s, flight.request.src, id);
-      }
-      if (edge_stats_) edge_stats_->on_admission_wait(path.edges, wait_s);
-    }
-    if (collector_) collector_->record_route(path.hops());
-    if (tracer_ && flight.request.resubmission_of == 0 &&
-        flight.request.submitted_at >= 0 &&
-        now > flight.request.submitted_at) {
-      tracer_->complete(flight.request.trace_id, "router", "admission_wait",
-                        flight.request.submitted_at, now);
-    }
-    in_flight_.emplace(id, std::move(flight));
-    schedule_expiry_wakeup();
+    const std::uint32_t id = hand_to_plane(flight, path);
     sync_contention_metrics();
     return id;
   }
@@ -263,8 +218,8 @@ bool Router::try_defer(FlightState& flight) {
   flight.ticket = *ticket;
   ++stats_.deferred;
   stats_.deferred_wait_total += best_start - now;
-  // The SwapService id does not exist yet; remember the booked wait so
-  // submit_deferred can attribute it to the request's deferral phase.
+  // The plane's id does not exist yet; remember the booked wait so
+  // hand_to_plane can attribute it to the request's deferral phase.
   flight.booked_wait_s += sim::to_seconds(best_start - now);
   if (collector_) {
     collector_->record_deferral(sim::to_seconds(best_start - now));
@@ -285,7 +240,7 @@ bool Router::try_defer(FlightState& flight) {
       best_start,
       [this, id_holder, flight = std::move(flight), path = *best]() mutable {
         deferred_events_.erase(*id_holder);
-        submit_deferred(std::move(flight), path);
+        hand_to_plane(flight, path);
       },
       "router.deferred");
   *id_holder = id;
@@ -293,20 +248,29 @@ bool Router::try_defer(FlightState& flight) {
   return true;
 }
 
-void Router::submit_deferred(FlightState flight, const Path& path) {
+std::uint32_t Router::hand_to_plane(FlightState& flight, const Path& path) {
+  const sim::SimTime now = sim_.now();
   std::uint32_t id = 0;
   try {
     id = plane_.submit(flight.request, to_hops(path), hop_floors(path));
   } catch (...) {
-    reservations_.release(flight.ticket, sim_.now());
+    // A malformed pinned path (submit_on checks only the endpoints)
+    // must not leak its reservation and wedge the edges forever.
+    reservations_.release(flight.ticket, now);
     throw;
   }
   ++stats_.admitted;
+  // Count the reroute only here, where the resubmission actually
+  // reached the plane (record_resubmit fired inside submit), so
+  // Stats::rerouted and Collector::reroutes always agree.
   if (flight.request.resubmission_of != 0) ++stats_.rerouted;
-  if (flight.request.resubmission_of == 0 &&
-      flight.request.submitted_at >= 0) {
-    const double wait_s = sim::to_seconds(sim_.now() -
-                                          flight.request.submitted_at);
+  // Admission wait covers submit -> first admission (0 for an instant
+  // admit, the queueing or booked time otherwise); resubmissions keep
+  // their original latency accounting instead.
+  const bool first_admission = flight.request.resubmission_of == 0 &&
+                               flight.request.submitted_at >= 0;
+  if (first_admission) {
+    const double wait_s = sim::to_seconds(now - flight.request.submitted_at);
     if (collector_) {
       collector_->record_admission_wait(wait_s, flight.request.src, id);
     }
@@ -314,19 +278,21 @@ void Router::submit_deferred(FlightState flight, const Path& path) {
   }
   if (collector_) {
     collector_->record_route(path.hops());
-    collector_->attribute_deferral(flight.request.src, id,
-                                   flight.booked_wait_s);
+    // Only a deferred admission has booked wait to attribute.
+    if (flight.booked_wait_s > 0.0) {
+      collector_->attribute_deferral(flight.request.src, id,
+                                     flight.booked_wait_s);
+    }
   }
   // Attributed; a later re-route that defers again must not re-count it.
   flight.booked_wait_s = 0.0;
-  if (tracer_ && flight.request.resubmission_of == 0 &&
-      flight.request.submitted_at >= 0 &&
-      sim_.now() > flight.request.submitted_at) {
+  if (tracer_ && first_admission && now > flight.request.submitted_at) {
     tracer_->complete(flight.request.trace_id, "router", "admission_wait",
-                      flight.request.submitted_at, sim_.now());
+                      flight.request.submitted_at, now);
   }
   in_flight_.emplace(id, std::move(flight));
   schedule_expiry_wakeup();
+  return id;
 }
 
 std::vector<Path> Router::candidates_for(std::uint32_t src,
@@ -413,26 +379,28 @@ std::uint32_t Router::submit_flight(FlightState flight) {
              "pairs",
              static_cast<std::uint64_t>(flight.request.num_pairs))});
   }
+  return admit_or_queue(std::move(flight), /*initial=*/true);
+}
+
+std::uint32_t Router::admit_or_queue(FlightState flight, bool initial) {
   // try_admit may throw on a malformed pinned path; count the request
-  // only once it is known to be admitted, deferred, queued, or
-  // rejected, so submitted == admitted-first-try + deferred-first-try
-  // + blocked + rejected stays an invariant (a deferred request joins
-  // `admitted` later, when its booked window opens).
+  // only once it is known to be admitted, deferred or queued, so
+  // submitted == admitted-first-try + deferred-first-try + blocked
+  // stays an invariant (a deferred request joins `admitted` later, when
+  // its booked window opens).
   const std::uint32_t id = try_admit(flight);
-  ++stats_.submitted;
-  if (id != 0) {
-    return id;
-  }
+  if (initial) ++stats_.submitted;
+  if (id != 0) return id;
   if (try_defer(flight)) {
     return 0;  // booked: the submission fires at the window start
   }
-  if (!config_.queue_blocked) {
-    ++stats_.rejected;
-    return 0;
+  // Stats::blocked / record_blocked count *requests* that ever queued;
+  // a resubmission already counted at its initial submission if it did.
+  if (initial) {
+    ++stats_.blocked;
+    if (collector_) collector_->record_blocked();
+    if (edge_stats_) edge_stats_->on_blocked_request();
   }
-  ++stats_.blocked;
-  if (collector_) collector_->record_blocked();
-  if (edge_stats_) edge_stats_->on_blocked_request();
   enqueue_flight(std::move(flight));
   return 0;
 }
@@ -484,30 +452,6 @@ void Router::trace_terminal(const FlightState& flight, const char* outcome) {
            "dst", static_cast<std::uint64_t>(flight.request.dst)),
        obs::Tracer::num_arg(
            "reroutes", static_cast<std::uint64_t>(flight.reroutes_used))});
-}
-
-void Router::queue_or_drop_reroute(FlightState flight,
-                                   const netlayer::E2eErr& err) {
-  if (try_admit(flight) != 0) return;
-  if (try_defer(flight)) return;
-  if (config_.queue_blocked) {
-    // Not counted in Stats::blocked / record_blocked: those count
-    // *requests* that ever queued, and this one already counted at
-    // submission if it did.
-    enqueue_flight(std::move(flight));
-    return;
-  }
-  // Queueing disabled: the reroute dies here, and the death is
-  // terminal — the error handler's contract covers it.
-  ++stats_.failed;
-  ++stats_.abandoned;
-  if (collector_) collector_->record_abandon();
-  if (tracer_) {
-    tracer_->instant(flight.request.trace_id, "router", "abandon",
-                     sim_.now());
-    trace_terminal(flight, "abandoned");
-  }
-  if (on_error_) on_error_(err);
 }
 
 void Router::schedule_expiry_wakeup() {
@@ -618,7 +562,7 @@ void Router::on_error(const netlayer::E2eErr& err) {
                  "attempt",
                  static_cast<std::uint64_t>(flight.reroutes_used))});
       }
-      queue_or_drop_reroute(std::move(flight), err);
+      admit_or_queue(std::move(flight), /*initial=*/false);
       return;
     }
   }

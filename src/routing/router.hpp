@@ -29,11 +29,16 @@
 /// model are tried in order; the first whose edges all have spare
 /// reservation capacity *now* is leased (see ReservationTable — a lease
 /// window sized by lease_slack, or an unbounded pin) and handed to the
-/// SwapService (with per-hop CREATE floors from EdgeParams::link_floor).
-/// A request that fits no candidate queues FIFO in the ReservationTable
-/// and is retried whenever any reservation releases or any lease
-/// lapses. Reservations release when the request delivers its last pair
-/// or fails terminally.
+/// plane (with per-hop CREATE floors from EdgeParams::link_floor). A
+/// request that fits no candidate either books a future window
+/// (defer_admission, below) or queues in the ReservationTable's blocked
+/// queue, which is retried whenever any reservation releases or any
+/// lease lapses; nothing is ever rejected. Initial submissions and
+/// re-routing resubmissions take this same admit -> defer -> queue
+/// path, and every admission — instant, drained from the queue, or at
+/// a booked window's start — runs the same bookkeeping (stats, admission
+/// wait, route length, trace span, in-flight entry). Reservations
+/// release when the request delivers its last pair or fails terminally.
 ///
 /// Adaptive re-routing (max_reroutes > 0): when an admitted request
 /// fails, the failing edge joins the request's exclusion set, the
@@ -54,8 +59,8 @@
 /// reserve_at) and the Router schedules its submission at that start —
 /// instead of parking the request blind in the blocked queue. Requests
 /// that cannot book a finite window (an edge pinned forever) still
-/// queue. batch_admission switches the blocked-queue drain to the
-/// per-edge-FIFO batch policy (see reservation.hpp).
+/// queue, and the same switch drains that queue with the per-edge-FIFO
+/// batch policy (see reservation.hpp) instead of the greedy one.
 
 namespace qlink::routing {
 
@@ -70,9 +75,6 @@ struct RouterConfig {
   CostModel cost = CostModel::kHopCount;
   /// Candidate paths per request (k of k-shortest).
   std::size_t k_candidates = 4;
-  /// Queue requests that fit no candidate (retried on release or lease
-  /// expiry); false rejects them immediately instead.
-  bool queue_blocked = true;
   /// Re-routing budget per request: after a hop failure the failing
   /// edge is excluded and the request resubmitted over a sibling
   /// candidate, at most this many times. 0 = static routing (every
@@ -86,15 +88,17 @@ struct RouterConfig {
   /// expiry without waiting for the holder's release. <= 0 = unbounded
   /// leases (whole-request pinning, the historical behavior).
   double lease_slack = 0.0;
-  /// Book a future lease window for requests that fit nothing now and
-  /// schedule their submission at the window start (see file comment).
-  /// false = queue blind (the PR-4 behavior).
+  /// The scheduler-grade admission policy (see file comment), two
+  /// halves that only make sense together:
+  ///  - book a future lease window for requests that fit nothing now
+  ///    and schedule their submission at the window start;
+  ///  - drain the blocked queue per-edge FIFO (DrainPolicy::
+  ///    kPerEdgeFifo): a younger blocked request never jumps an older
+  ///    one on a shared edge, while requests with disjoint footprints
+  ///    admit in the same wakeup.
+  /// false = queue blind and drain greedily (jumps allowed, counted as
+  /// steals) — the historical behavior.
   bool defer_admission = false;
-  /// Per-edge-FIFO batch drain of the blocked queue: a younger blocked
-  /// request never jumps an older one on a shared edge, while requests
-  /// with disjoint footprints admit in the same wakeup. false = the
-  /// historical greedy drain (jumps allowed, counted as steals).
-  bool batch_admission = false;
   /// Re-routing exclusions age out after this long (sim time); 0 =
   /// excluded forever (the PR-4 behavior).
   sim::SimTime exclusion_ttl = 0;
@@ -147,7 +151,9 @@ class Router {
     /// Total booked wait (sim time) across `deferred`: the gap between
     /// the deferral and the booked window start.
     sim::SimTime deferred_wait_total = 0;
-    /// Requests dropped because queueing is disabled.
+    /// Always 0: the Router queues or defers every request that fits
+    /// nothing now, and never drops one. Kept so reports that sum
+    /// submitted == completed + failed + rejected stay valid.
     std::uint64_t rejected = 0;
     std::uint64_t completed = 0;
     /// Terminal failures (with re-routing enabled, failures that could
@@ -167,15 +173,10 @@ class Router {
   /// Takes over the plane's deliver/error handlers (route the higher
   /// layer's handlers through the Router instead). Throws
   /// std::invalid_argument when graph and plane disagree (edge/link
-  /// count, node count, or any edge's endpoints).
+  /// count, node count, or any edge's endpoints). A SwapService is the
+  /// full-detail plane; pass it directly.
   Router(Graph graph, netlayer::EntanglementPlane& plane,
          const RouterConfig& config = {},
-         metrics::Collector* collector = nullptr);
-
-  /// Deprecated shim (pre-plane API): the SwapService *is* the
-  /// full-detail plane; `network` must be the one it was built over.
-  Router(Graph graph, netlayer::QuantumNetwork& network,
-         netlayer::SwapService& swap, const RouterConfig& config = {},
          metrics::Collector* collector = nullptr);
   ~Router();
 
@@ -202,10 +203,10 @@ class Router {
   /// it. Links below min_rounds stay on the model.
   void refresh_annotations(const RefreshOptions& options);
 
-  /// Submit an end-to-end request. Returns the SwapService request id
-  /// when admitted immediately, 0 when queued (or rejected — see
-  /// Stats). Throws std::invalid_argument when the graph offers no
-  /// src -> dst path at all.
+  /// Submit an end-to-end request. Returns the plane's request id when
+  /// admitted immediately, 0 when deferred or queued. Throws
+  /// std::invalid_argument when the graph offers no src -> dst path at
+  /// all.
   std::uint32_t submit(const netlayer::E2eRequest& request);
 
   /// Submit pinned to one explicit path (no candidate search, no
@@ -270,8 +271,7 @@ class Router {
   /// without one (the flow-level fast path).
   netlayer::QuantumNetwork* network() noexcept { return plane_.network(); }
 
-  /// A selector path as SwapService hops / per-hop CREATE floors.
-  std::vector<netlayer::Hop> to_hops(const Path& path) const;
+  /// A selector path's per-hop CREATE floors.
   std::vector<double> hop_floors(const Path& path) const;
 
   /// Lease window for admitting `request` on `path` (kNoExpiry when
@@ -310,18 +310,34 @@ class Router {
   /// cache_paths is on and the annotations have not changed since the
   /// entry was computed.
   std::vector<Path> candidates_for(std::uint32_t src, std::uint32_t dst);
+  /// A selector path as plane hops (link + traversal direction).
+  std::vector<netlayer::Hop> to_hops(const Path& path) const;
+  /// Stamp the submission time / trace id, then admit_or_queue as an
+  /// initial submission.
   std::uint32_t submit_flight(FlightState flight);
-  /// Reserve + hand to the SwapService over the first fitting
-  /// candidate; returns the SwapService request id, 0 when nothing
-  /// fits. On success `flight` has been moved into in_flight_.
+  /// The one admission sequence, for initial submissions and re-routing
+  /// resubmissions alike: admit now, else book a deferred window, else
+  /// queue in the blocked queue. Returns the plane's request id when
+  /// admitted now, 0 otherwise. `initial` counts the request in
+  /// Stats::submitted and, if it queues, Stats::blocked (a resubmission
+  /// was counted when it was first submitted).
+  std::uint32_t admit_or_queue(FlightState flight, bool initial);
+  /// Reserve + hand to the plane over the first fitting candidate;
+  /// returns the plane's request id, 0 when nothing fits. On success
+  /// `flight` has been moved into in_flight_. The blocked queue's retry
+  /// calls this directly.
   std::uint32_t try_admit(FlightState& flight);
   /// Deferred admission: book the candidate with the earliest feasible
-  /// future window and schedule the submission at its start. False when
-  /// deferral is off or no candidate has a finite window.
+  /// future window and schedule its hand_to_plane at the window start.
+  /// False when deferral is off or no candidate has a finite window.
   bool try_defer(FlightState& flight);
-  /// Hand a booked flight to the SwapService at its window start (the
-  /// deferred analogue of try_admit's success path).
-  void submit_deferred(FlightState flight, const Path& path);
+  /// Submit `flight`, whose reservation (flight.ticket) is held, to the
+  /// plane over `path` and run every admitted request's bookkeeping:
+  /// admitted / rerouted stats, admission wait (Collector, EdgeStats),
+  /// route length, the booked deferral wait, the admission_wait span,
+  /// the in_flight_ entry and the expiry wakeup. Releases the
+  /// reservation and rethrows if the plane throws.
+  std::uint32_t hand_to_plane(FlightState& flight, const Path& path);
   /// Queue `flight` in the reservation table's blocked queue with its
   /// preferred candidate's edges as the drain footprint.
   void enqueue_flight(FlightState flight);
@@ -334,8 +350,6 @@ class Router {
   /// Close the request's trace lane with its envelope span
   /// (submitted_at -> now, outcome in the args).
   void trace_terminal(const FlightState& flight, const char* outcome);
-  void queue_or_drop_reroute(FlightState flight,
-                             const netlayer::E2eErr& err);
   void on_deliver(const netlayer::E2eOk& ok);
   void on_error(const netlayer::E2eErr& err);
   /// Keep a wakeup scheduled at the reservation table's next lease

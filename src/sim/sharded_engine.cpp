@@ -88,7 +88,7 @@ void ShardedEngine::connect(std::size_t from, std::size_t to,
         " ns); the coupling is too tight for conservative rounds");
   }
   auto& slot = couplings_[from * sims_.size() + to];
-  if (!slot) slot = std::make_unique<Coupling>(config_.ring_capacity);
+  if (!slot) slot = std::make_unique<Coupling>();
   if (slot->min_delay == 0 || min_delay < slot->min_delay) {
     slot->min_delay = min_delay;
   }
@@ -121,13 +121,7 @@ void ShardedEngine::post(std::size_t from, std::size_t to, SimTime at,
     throw std::invalid_argument(
         "ShardedEngine::post: time under the lookahead floor");
   }
-  posted_.fetch_add(1, std::memory_order_relaxed);
-  CrossEvent ev{at, label, std::move(fn)};
-  if (!c->spilled && c->ring.try_push(std::move(ev))) return;
-  ring_overflows_.fetch_add(1, std::memory_order_relaxed);
-  std::lock_guard<std::mutex> lock(c->overflow_mutex);
-  c->spilled = true;
-  c->overflow.push_back(std::move(ev));
+  c->outbox.push_back(CrossEvent{at, label, std::move(fn)});
 }
 
 void ShardedEngine::drain_all() {
@@ -136,19 +130,11 @@ void ShardedEngine::drain_all() {
     for (std::size_t to = 0; to < s; ++to) {
       Coupling* c = coupling(from, to);
       if (c == nullptr) continue;
-      stats_.ring_high_water = std::max(stats_.ring_high_water, c->ring.size());
-      CrossEvent ev;
-      while (c->ring.try_pop(ev)) {
-        ++stats_.drained;
-        sims_[to]->schedule_at(ev.at, std::move(ev.fn), ev.label);
-      }
-      std::lock_guard<std::mutex> lock(c->overflow_mutex);
-      for (CrossEvent& e : c->overflow) {
+      for (CrossEvent& e : c->outbox) {
         ++stats_.drained;
         sims_[to]->schedule_at(e.at, std::move(e.fn), e.label);
       }
-      c->overflow.clear();
-      c->spilled = false;
+      c->outbox.clear();  // keeps its capacity for the next round
     }
   }
 }
@@ -216,8 +202,8 @@ void ShardedEngine::run_until(SimTime t) {
     }
 
     // Shards share nothing within a round (cross-shard sends buffer in
-    // the rings), so threaded execution matches sequential execution
-    // state-for-state.
+    // their own outboxes), so threaded execution matches sequential
+    // execution state-for-state.
     if (threads_ && work.size() > 1) {
       ++stats_.parallel_rounds;
       std::vector<std::thread> threads;
@@ -248,8 +234,10 @@ SimTime ShardedEngine::now() const {
 
 ShardedEngine::Stats ShardedEngine::stats() const {
   Stats out = stats_;
-  out.posted = posted_.load(std::memory_order_relaxed);
-  out.ring_overflows = ring_overflows_.load(std::memory_order_relaxed);
+  out.posted = out.drained;
+  for (const auto& c : couplings_) {
+    if (c) out.posted += c->outbox.size();
+  }
   return out;
 }
 

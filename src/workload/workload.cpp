@@ -262,12 +262,6 @@ void WorkloadDriver::on_cycle() {
       }
       collector_.sample_queue_length(queued);
     }
-    if (router_ != nullptr) {
-      // Scheduler occupancy: requests parked blind in the blocked queue
-      // plus deferred bookings waiting for their window to open.
-      collector_.sample_sched_backlog(
-          router_->reservations().blocked() + router_->deferred_pending());
-    }
     return;
   }
   maybe_issue(Priority::kNetworkLayer, traffic_.nl);

@@ -55,9 +55,7 @@ struct ContendedChain {
     // governed by the lease calendar deferred booking schedules.
     rc.lease_slack = 0.5;
     rc.defer_admission = scheduler;
-    rc.batch_admission = scheduler;
-    router = std::make_unique<routing::Router>(chain, *net, *swap, rc,
-                                               &collector);
+    router = std::make_unique<routing::Router>(chain, *swap, rc, &collector);
     const double menu[] = {0.7};
     router->annotate_from_network(menu);
   }
@@ -199,7 +197,8 @@ struct DeadRing {
   std::unique_ptr<routing::Router> router;
   std::vector<E2eErr> errors;
 
-  explicit DeadRing(sim::SimTime exclusion_ttl, std::size_t max_reroutes)
+  explicit DeadRing(sim::SimTime exclusion_ttl, std::size_t max_reroutes,
+                    bool scheduler = false, double lease_slack = 0.0)
       : ring(routing::Graph::ring(4)),
         dead_a(ring.find_edge(1, 2)),
         dead_b(ring.find_edge(2, 3)) {
@@ -219,8 +218,9 @@ struct DeadRing {
     rc.k_candidates = 4;
     rc.max_reroutes = max_reroutes;
     rc.exclusion_ttl = exclusion_ttl;
-    router = std::make_unique<routing::Router>(ring, *net, *swap, rc,
-                                               &collector);
+    rc.defer_admission = scheduler;
+    rc.lease_slack = lease_slack;
+    router = std::make_unique<routing::Router>(ring, *swap, rc, &collector);
     const double menu[] = {0.7};
     router->annotate_from_network(menu);
     router->set_error_handler(
@@ -318,6 +318,181 @@ TEST(ExclusionDecay, FidelityRecoverySignalReadmitsTheRecoveredEdge) {
   EXPECT_EQ(stats.abandoned, 1u);
   EXPECT_EQ(w.collector.route_length().count(), 4u);
   ASSERT_EQ(w.errors.size(), 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Admission accounting, pinned.
+//
+// Every counter the Router's admission path writes — Router::Stats, the
+// Collector's admission waits, route lengths, deferrals (count, phase
+// histogram, per-request attribution), contention counters, reroutes
+// and abandons — as one line per seeded run, compared against values
+// recorded before instant, drained and deferred admissions shared one
+// bookkeeping function. Any drift in what an admission records moves
+// at least one field.
+
+std::string admission_ledger(const routing::Router& router,
+                             const metrics::Collector& c) {
+  const auto& s = router.stats();
+  double attributed = 0.0;
+  for (const auto& slow : c.slowest_requests()) {
+    attributed +=
+        slow.phase_s[static_cast<std::size_t>(metrics::Phase::kDeferral)];
+  }
+  const auto& deferral = c.phase_hist(metrics::Phase::kDeferral);
+  const auto u = [](std::uint64_t v) {
+    return static_cast<unsigned long long>(v);
+  };
+  char line[640];
+  std::snprintf(
+      line, sizeof(line),
+      "submitted=%llu admitted=%llu blocked=%llu deferred=%llu "
+      "deferred_wait=%lld rejected=%llu completed=%llu failed=%llu "
+      "rerouted=%llu abandoned=%llu pairs=%llu | wait_n=%llu "
+      "wait_sum=%.17g route_n=%llu blocked_n=%llu deferrals=%llu "
+      "deferral_n=%llu deferral_sum=%.17g attributed=%.17g steals=%llu "
+      "hol_holds=%llu reroutes=%llu abandons=%llu",
+      u(s.submitted), u(s.admitted), u(s.blocked), u(s.deferred),
+      static_cast<long long>(s.deferred_wait_total), u(s.rejected),
+      u(s.completed), u(s.failed), u(s.rerouted), u(s.abandoned),
+      u(s.pairs_delivered), u(c.admission_wait_hist().count()),
+      c.admission_wait_hist().sum(), u(c.route_length().count()),
+      u(c.requests_blocked()), u(c.deferrals()), u(deferral.count()),
+      deferral.sum(), attributed, u(c.admission_steals()),
+      u(c.hol_holds()), u(c.reroutes()), u(c.abandons()));
+  return line;
+}
+
+/// The bench_admission grid scenario: three node-disjoint row corridors
+/// on a 3x3 grid, each with two staggered pinned head leases and a
+/// pinned whole-corridor waiter, and a long newcomer on the first
+/// corridor's first edge landing between the head leases' ends. Two
+/// unpinned cross-grid requests ride along through the Yen candidates
+/// (k = 2). With lease_slack = 0 every lease is an unbounded pin, so no
+/// window can be booked and the scheduler policy queues per-edge FIFO.
+std::string corridor_ledger(bool scheduler, double lease_slack) {
+  const routing::Graph grid = routing::Graph::grid(3, 3);
+  NetworkConfig nc = routing::make_network_config(grid, core::LinkConfig{}, 7);
+  nc.link.backend = qstate::BackendKind::kBellDiagonal;
+  nc.link.pauli_twirl_installs = true;
+  nc.link.scenario = hw::ScenarioParams::lab();
+  nc.link.scenario.nv.carbon_t2_ns = 5e9;
+  nc.link.scenario.nv.carbon_coupling_rad_per_s /= 10.0;
+  QuantumNetwork net(nc);
+  metrics::Collector collector;
+  SwapService swap(net, &collector);
+  routing::RouterConfig rc;
+  rc.k_candidates = 2;
+  rc.lease_slack = lease_slack;
+  rc.defer_admission = scheduler;
+  routing::Router router(grid, swap, rc, &collector);
+  const double menu[] = {0.7};
+  router.annotate_from_network(menu);
+  router.set_deliver_handler([&swap](const E2eOk& ok) { swap.release(ok); });
+
+  net.start();
+  std::uint64_t expected = 0;
+  for (const std::uint32_t row : {0u, 3u, 6u}) {
+    const routing::Path corridor = *router.selector().shortest(row, row + 2);
+    const routing::Path head_a = *router.selector().shortest(row, row + 1);
+    const routing::Path head_b =
+        *router.selector().shortest(row + 1, row + 2);
+    const auto req_a = ContendedChain::request(row, row + 1, 4);
+    const auto req_b = ContendedChain::request(row + 1, row + 2, 8);
+    router.submit_on(req_a, head_a);
+    router.submit_on(req_b, head_b);
+    router.submit_on(ContendedChain::request(row, row + 2, 2), corridor);
+    expected += 3;
+    if (row == 0) {
+      const sim::SimTime t1 = router.lease_duration(head_a, req_a);
+      const sim::SimTime t2 = router.lease_duration(head_b, req_b);
+      const sim::SimTime tn = lease_slack > 0.0
+                                  ? t1 + (t2 - t1) / 2
+                                  : sim::duration::milliseconds(100);
+      net.simulator().schedule_at(tn, [&router, head_a] {
+        router.submit_on(ContendedChain::request(0, 1, 16), head_a);
+      });
+      expected += 1;
+    }
+  }
+  router.submit(ContendedChain::request(0, 8, 2));
+  router.submit(ContendedChain::request(2, 6, 3));
+  expected += 2;
+
+  const auto& stats = router.stats();
+  while (stats.completed + stats.failed < expected &&
+         sim::to_seconds(net.simulator().now()) < 120.0) {
+    net.run_for(sim::duration::milliseconds(10));
+  }
+  EXPECT_EQ(stats.completed + stats.failed, expected);
+  EXPECT_EQ(router.reservations().active(), 0u);
+  EXPECT_EQ(router.reservations().blocked(), 0u);
+  EXPECT_EQ(router.deferred_pending(), 0u);
+  return admission_ledger(router, collector);
+}
+
+/// The dead-ring decay scenario (TTL 1 ns, budget 5): a blocker pins
+/// the sibling corridor's healthy edge, so the first re-route cannot
+/// admit at once — it queues (queue-blind) or books a window behind
+/// the blocker's lease (scheduler with finite leases).
+std::string reroute_ledger(bool scheduler, double lease_slack) {
+  DeadRing w(/*exclusion_ttl=*/1, /*max_reroutes=*/5, scheduler,
+             lease_slack);
+  w.net->start();
+  w.router->submit(ContendedChain::request(0, 3, 4));  // the blocker
+  w.router->submit(ContendedChain::request(0, 2, 1));
+  const auto& stats = w.router->stats();
+  for (int i = 0; i < 2000 && stats.completed + stats.failed < 2; ++i) {
+    w.net->run_for(sim::duration::milliseconds(1));
+  }
+  EXPECT_EQ(stats.completed + stats.failed, 2u);
+  return admission_ledger(*w.router, w.collector);
+}
+
+TEST(AdmissionAccounting, QueueBlindCorridorsArePinned) {
+  EXPECT_EQ(corridor_ledger(/*scheduler=*/false, 0.5),
+            "submitted=12 admitted=12 blocked=5 deferred=0 deferred_wait=0 "
+            "rejected=0 completed=12 failed=0 rerouted=0 abandoned=0 "
+            "pairs=63 | wait_n=12 wait_sum=2.3470572600000001 route_n=12 "
+            "blocked_n=5 deferrals=0 deferral_n=0 deferral_sum=0 "
+            "attributed=0 steals=2 hol_holds=0 reroutes=0 abandons=0");
+}
+
+TEST(AdmissionAccounting, DeferredCorridorsArePinned) {
+  EXPECT_EQ(corridor_ledger(/*scheduler=*/true, 0.5),
+            "submitted=12 admitted=12 blocked=0 deferred=6 "
+            "deferred_wait=1792890962 rejected=0 completed=12 failed=0 "
+            "rerouted=0 abandoned=0 pairs=63 | wait_n=12 "
+            "wait_sum=1.792890962 route_n=12 blocked_n=0 deferrals=6 "
+            "deferral_n=6 deferral_sum=1.792890962 attributed=1.792890962 "
+            "steals=0 hol_holds=0 reroutes=0 abandons=0");
+}
+
+TEST(AdmissionAccounting, PerEdgeFifoQueueOnPinnedLeasesIsPinned) {
+  EXPECT_EQ(corridor_ledger(/*scheduler=*/true, 0.0),
+            "submitted=12 admitted=12 blocked=6 deferred=0 deferred_wait=0 "
+            "rejected=0 completed=12 failed=0 rerouted=0 abandoned=0 "
+            "pairs=63 | wait_n=12 wait_sum=4.0805012640000005 route_n=12 "
+            "blocked_n=6 deferrals=0 deferral_n=0 deferral_sum=0 "
+            "attributed=0 steals=0 hol_holds=20 reroutes=0 abandons=0");
+}
+
+TEST(AdmissionAccounting, QueuedRerouteOnDeadRingIsPinned) {
+  EXPECT_EQ(reroute_ledger(/*scheduler=*/false, 0.0),
+            "submitted=2 admitted=4 blocked=0 deferred=0 deferred_wait=0 "
+            "rejected=0 completed=1 failed=1 rerouted=2 abandoned=1 pairs=4 "
+            "| wait_n=2 wait_sum=0 route_n=4 blocked_n=0 deferrals=0 "
+            "deferral_n=0 deferral_sum=0 attributed=0 steals=0 hol_holds=0 "
+            "reroutes=2 abandons=1");
+}
+
+TEST(AdmissionAccounting, DeferredRerouteOnDeadRingIsPinned) {
+  EXPECT_EQ(reroute_ledger(/*scheduler=*/true, 0.5),
+            "submitted=2 admitted=4 blocked=0 deferred=1 "
+            "deferred_wait=130392070 rejected=0 completed=1 failed=1 "
+            "rerouted=2 abandoned=1 pairs=4 | wait_n=2 wait_sum=0 route_n=4 "
+            "blocked_n=0 deferrals=1 deferral_n=1 deferral_sum=0.13039207 "
+            "attributed=0 steals=0 hol_holds=0 reroutes=2 abandons=1");
 }
 
 }  // namespace

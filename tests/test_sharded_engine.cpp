@@ -6,42 +6,10 @@
 #include <utility>
 #include <vector>
 
-#include "sim/shard_ring.hpp"
 #include "sim/sharded_engine.hpp"
 
 namespace qlink::sim {
 namespace {
-
-// ---------------------------------------------------------------------
-// SpscRing
-// ---------------------------------------------------------------------
-
-TEST(SpscRing, FifoAcrossWraparound) {
-  SpscRing<int> ring(4);
-  int out = 0;
-  EXPECT_FALSE(ring.try_pop(out));
-  // Push/pop more than the capacity so head/tail wrap.
-  int next_in = 0, next_out = 0;
-  for (int round = 0; round < 5; ++round) {
-    for (int i = 0; i < 3; ++i) EXPECT_TRUE(ring.try_push(next_in++));
-    for (int i = 0; i < 3; ++i) {
-      ASSERT_TRUE(ring.try_pop(out));
-      EXPECT_EQ(out, next_out++);
-    }
-  }
-  EXPECT_TRUE(ring.empty());
-}
-
-TEST(SpscRing, RejectsPushWhenFull) {
-  SpscRing<int> ring(3);  // rounds up to 4 slots
-  for (int i = 0; i < 4; ++i) EXPECT_TRUE(ring.try_push(int{i}));
-  EXPECT_FALSE(ring.try_push(99));
-  EXPECT_EQ(ring.size(), 4u);
-  int out = 0;
-  ASSERT_TRUE(ring.try_pop(out));
-  EXPECT_EQ(out, 0);
-  EXPECT_TRUE(ring.try_push(4));  // slot freed
-}
 
 // ---------------------------------------------------------------------
 // ShardAssignment
@@ -247,19 +215,18 @@ TEST(ShardedEngine, IdleJumpFastForwardsQuietStretches) {
   EXPECT_LT(stats.rounds, 100u);
 }
 
-TEST(ShardedEngine, RingOverflowKeepsFifoAndCounts) {
+TEST(ShardedEngine, BurstPostsArriveFifo) {
   ShardedEngine::Config cfg;
   cfg.num_shards = 2;
-  cfg.ring_capacity = 2;
   cfg.parallel = ShardedEngine::Parallel::kOff;
   ShardedEngine engine(cfg);
   engine.connect(0, 1, 2);
   std::vector<int> got;
-  // One burst of posts from a single shard-0 event: far more than the
-  // ring holds, so the locked overflow path must preserve FIFO.
+  // One burst of posts from a single shard-0 event, half of them at the
+  // same timestamp: the outbox must hand them over in post order.
   engine.sim(0).schedule_at(1, [&] {
     for (int i = 0; i < 64; ++i) {
-      engine.post(0, 1, 10 + i, [&got, i] { got.push_back(i); });
+      engine.post(0, 1, 10 + i / 2, [&got, i] { got.push_back(i); });
     }
   });
   engine.run_until(100);
@@ -268,7 +235,72 @@ TEST(ShardedEngine, RingOverflowKeepsFifoAndCounts) {
   const auto stats = engine.stats();
   EXPECT_EQ(stats.posted, 64u);
   EXPECT_EQ(stats.drained, 64u);
-  EXPECT_GT(stats.ring_overflows, 0u);
+  EXPECT_EQ(stats.ring_overflows, 0u);
+}
+
+/// Every shard of a 4-shard engine fires a 64-post burst at every other
+/// shard in the same round (so under kOn the bursts are posted from
+/// four threads at once), all landing at one timestamp. Each target
+/// records only its own arrivals as (source shard, sequence number).
+struct BurstRun {
+  std::vector<std::vector<std::pair<std::size_t, int>>> arrivals;
+  ShardedEngine::Stats stats;
+  bool threaded = false;
+};
+
+BurstRun concurrent_bursts(ShardedEngine::Parallel parallel) {
+  constexpr std::size_t kShards = 4;
+  ShardedEngine::Config cfg;
+  cfg.num_shards = kShards;
+  cfg.parallel = parallel;
+  ShardedEngine engine(cfg);
+  for (std::size_t from = 0; from < kShards; ++from) {
+    for (std::size_t to = 0; to < kShards; ++to) {
+      if (from != to) engine.connect(from, to, 10);
+    }
+  }
+  BurstRun run;
+  run.arrivals.resize(kShards);
+  for (std::size_t from = 0; from < kShards; ++from) {
+    engine.sim(from).schedule_at(1, [&engine, &run, from] {
+      for (int i = 0; i < 64; ++i) {
+        for (std::size_t to = 0; to < kShards; ++to) {
+          if (to == from) continue;
+          engine.post(from, to, 20, [&run, from, to, i] {
+            run.arrivals[to].emplace_back(from, i);
+          });
+        }
+      }
+    });
+  }
+  engine.run_until(100);
+  run.stats = engine.stats();
+  run.threaded = engine.threads_enabled();
+  return run;
+}
+
+TEST(ShardedEngine, ConcurrentBurstsArriveFifoAndMatchSequential) {
+  const BurstRun seq = concurrent_bursts(ShardedEngine::Parallel::kOff);
+  const BurstRun par = concurrent_bursts(ShardedEngine::Parallel::kOn);
+  EXPECT_FALSE(seq.threaded);
+  EXPECT_TRUE(par.threaded);
+  EXPECT_GT(par.stats.parallel_rounds, 0u);
+  for (const BurstRun* run : {&seq, &par}) {
+    EXPECT_EQ(run->stats.posted, 4u * 3u * 64u);
+    EXPECT_EQ(run->stats.drained, run->stats.posted);
+    EXPECT_EQ(run->stats.ring_overflows, 0u);
+    // Same timestamp everywhere, so arrival order is drain order:
+    // sources ascending ((from, to)-lexicographic), FIFO per source.
+    for (std::size_t to = 0; to < 4; ++to) {
+      std::vector<std::pair<std::size_t, int>> want;
+      for (std::size_t from = 0; from < 4; ++from) {
+        if (from == to) continue;
+        for (int i = 0; i < 64; ++i) want.emplace_back(from, i);
+      }
+      EXPECT_EQ(run->arrivals[to], want) << "target shard " << to;
+    }
+  }
+  EXPECT_EQ(seq.arrivals, par.arrivals);
 }
 
 // ---------------------------------------------------------------------
